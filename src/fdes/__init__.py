@@ -16,7 +16,6 @@ from .algebra import (
 )
 from .automaton import (
     FuzzyAutomaton,
-    crisp_parallel_reference,
     generated_degree,
     marked_degree,
     parallel_compose,

@@ -9,14 +9,14 @@ enumeration downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import algebra
 from .algebra import Semantics, ZERO, ONE
 from .errors import (
     AlphabetMismatch,
     DimensionError,
-    NotCrisp,
     SemanticsMismatch,
     UnknownEvent,
 )
@@ -93,10 +93,75 @@ class FuzzyAutomaton:
             values.update(v)
         return values <= {ZERO, ONE}
 
+    def ranks(self) -> "RankTable":
+        """The max-min rank table, built on first use and cached.
+
+        The automaton is treated as immutable once built: reassigning its
+        vectors or matrices afterwards leaves a stale table behind.
+        """
+        table: Optional[RankTable] = self.__dict__.get("_ranks")
+        if table is None:
+            if self.semantics is not Semantics.MAX_MIN:
+                raise SemanticsMismatch("rank tables exist for max-min automata only")
+            table = self._ranks = RankTable(self)
+        return table
+
+
+class RankTable:
+    """A max-min automaton in integer rank space.
+
+    A max-min product only ever picks one of its inputs, so every state
+    reachable from q̃0 holds degrees drawn from `initial` and the event
+    matrices.  Replacing each degree by its rank among those degrees turns
+    min and max over Fractions into min and max over ints; `decode` maps a
+    rank vector back to the Fraction vector it stands for.
+    """
+
+    __slots__ = ("values", "rank", "initial", "columns")
+
+    def __init__(self, g: FuzzyAutomaton):
+        degrees = set(g.initial)
+        for m in g.events.values():
+            for row in m:
+                degrees.update(row)
+        # the sorted distinct degrees; rank r stands for values[r]
+        self.values: Tuple[Fraction, ...] = tuple(sorted(degrees))
+        self.rank: Dict[Fraction, int] = {d: r for r, d in enumerate(self.values)}
+        self.initial: Tuple[int, ...] = tuple(self.rank[d] for d in g.initial)
+        # event -> column j as the ranks of m[l][j]
+        self.columns: Dict[str, Tuple[Tuple[int, ...], ...]] = {
+            e: tuple(tuple(self.rank[d] for d in col) for col in zip(*m)) for e, m in g.events.items()
+        }
+
+    def step(self, r: tuple, e: str) -> tuple:
+        """One max-min transition of the rank vector r."""
+        try:
+            cols = self.columns[e]
+        except KeyError:
+            raise UnknownEvent(f"event {e!r} not declared (alphabet: {list(self.columns)})") from None
+        return tuple([max(map(min, r, col)) for col in cols])
+
+    def decode(self, r: tuple) -> tuple:
+        values = self.values
+        return tuple([values[x] for x in r])
+
 
 def step(g: FuzzyAutomaton, q: Sequence, e: str) -> tuple:
-    """One transition: q̃ ⊙ σ̃ (or ∘ under max-product)."""
-    return algebra.apply_event(q, g.matrix(e), g.semantics)
+    """One transition: q̃ ⊙ σ̃ (or ∘ under max-product).
+
+    Max-min steps run on the automaton's rank table; a vector holding a
+    degree the automaton lacks takes the Fraction kernel, with equal result.
+    """
+    if g.semantics is not Semantics.MAX_MIN:
+        return algebra.maxprod_apply(q, g.matrix(e))
+    table = g.ranks()
+    cols = table.columns.get(e)
+    if cols is not None and len(q) == len(cols):
+        ranks = tuple(map(table.rank.get, q))
+        if None not in ranks:
+            values = table.values
+            return tuple([values[max(map(min, ranks, col))] for col in cols])
+    return algebra.maxmin_apply(q, g.matrix(e))
 
 
 def run(g: FuzzyAutomaton, s: Iterable[str]) -> tuple:
@@ -148,57 +213,6 @@ def parallel_compose(g1: FuzzyAutomaton, g2: FuzzyAutomaton) -> FuzzyAutomaton:
         marked=tuple(
             algebra.tensor_vectors(m1, m2) for m1 in g1.marked for m2 in g2.marked
         ),
-        semantics=g1.semantics,
-    )
-
-
-def crisp_parallel_reference(g1: FuzzyAutomaton, g2: FuzzyAutomaton) -> FuzzyAutomaton:
-    """Textbook synchronous product of two crisp automata, built from pair
-    transitions rather than tensor algebra; used as an oracle."""
-    for g in (g1, g2):
-        if not g.is_crisp():
-            raise NotCrisp("crisp_parallel_reference needs {0,1} degrees")
-    n1, n2 = g1.dim, g2.dim
-
-    def pair(i, j):
-        return i * n2 + j
-
-    events: Dict[str, tuple] = {}
-    for name in list(g1.events) + [e for e in g2.events if e not in g1.events]:
-        grid = [[ZERO] * (n1 * n2) for _ in range(n1 * n2)]
-        for i in range(n1):
-            for j in range(n2):
-                for ii in range(n1):
-                    for jj in range(n2):
-                        if name in g1.events and name in g2.events:
-                            ok = g1.events[name][i][ii] == ONE and g2.events[name][j][jj] == ONE
-                        elif name in g1.events:
-                            ok = g1.events[name][i][ii] == ONE and j == jj
-                        else:
-                            ok = i == ii and g2.events[name][j][jj] == ONE
-                        if ok:
-                            grid[pair(i, j)][pair(ii, jj)] = ONE
-        events[name] = tuple(tuple(row) for row in grid)
-
-    initial = tuple(
-        ONE if g1.initial[i] == ONE and g2.initial[j] == ONE else ZERO
-        for i in range(n1)
-        for j in range(n2)
-    )
-    marked = tuple(
-        tuple(
-            ONE if m1[i] == ONE and m2[j] == ONE else ZERO
-            for i in range(n1)
-            for j in range(n2)
-        )
-        for m1 in g1.marked
-        for m2 in g2.marked
-    )
-    return FuzzyAutomaton(
-        state_labels=tuple(f"{a},{b}" for a in g1.state_labels for b in g2.state_labels),
-        events=events,
-        initial=initial,
-        marked=marked,
         semantics=g1.semantics,
     )
 

@@ -10,7 +10,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import click
@@ -23,28 +22,18 @@ from .errors import DepthExceeded, FdesError, ParseError
 from .supervisory import EventAttributes
 
 
-@dataclass
-class RunConfig:
-    depth: Optional[int]
-    fmt: str
-    out: Optional[str]
-    verbose: bool = False
-
-    def __post_init__(self):
-        if self.depth is not None and self.depth < 0:
-            raise ParseError("depth must be ≥ 0")
-
-
 def _resolve_depth(depth: Optional[int]) -> Optional[int]:
-    if depth is not None:
-        return depth
-    env = os.environ.get("FDES_DEPTH_DEFAULT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ParseError(f"FDES_DEPTH_DEFAULT={env!r} is not an integer") from None
-    return None
+    """--depth, else FDES_DEPTH_DEFAULT, else None (the per-semantics default)."""
+    if depth is None:
+        env = os.environ.get("FDES_DEPTH_DEFAULT")
+        if env:
+            try:
+                depth = int(env)
+            except ValueError:
+                raise ParseError(f"FDES_DEPTH_DEFAULT={env!r} is not an integer") from None
+    if depth is not None and depth < 0:
+        raise ParseError("depth must be ≥ 0")
+    return depth
 
 
 def guarded(fn):
@@ -128,10 +117,10 @@ def _graph_text(graph) -> str:
 @guarded
 def reach(model, depth, fmt, out, verbose):
     """List all distinct reachable fuzzy states with shortest witnesses."""
-    cfg = RunConfig(_resolve_depth(depth), fmt, out, verbose)
+    depth = _resolve_depth(depth)
     g, _ = model_io.parse_model(model)
-    graph = reachability.enumerate_states(g, cfg.depth)
-    if cfg.verbose:
+    graph = reachability.enumerate_states(g, depth)
+    if verbose:
         click.echo(f"{len(graph.nodes)} distinct state(s)", err=True)
     if fmt == "json":
         emit_json(_graph_json(graph), out)
@@ -151,11 +140,11 @@ def reach(model, depth, fmt, out, verbose):
 @guarded
 def pairs(model_g, model_h, depth, fmt, out, verbose):
     """List all distinct reachable (plant, spec) fuzzy state pairs."""
-    cfg = RunConfig(_resolve_depth(depth), fmt, out, verbose)
+    depth = _resolve_depth(depth)
     g, _ = model_io.parse_model(model_g)
     h, _ = model_io.parse_model(model_h)
-    graph = reachability.enumerate_pairs(g, h, cfg.depth)
-    if cfg.verbose:
+    graph = reachability.enumerate_pairs(g, h, depth)
+    if verbose:
         click.echo(f"{len(graph.nodes)} distinct pair(s)", err=True)
     if fmt == "json":
         emit_json(_graph_json(graph), out)
@@ -190,14 +179,14 @@ def _tree_json(node) -> dict:
 @guarded
 def tree(models, depth, fmt, out):
     """Expand the computing tree (one model: states; two models: pairs)."""
-    cfg = RunConfig(_resolve_depth(depth), fmt, out)
+    depth = _resolve_depth(depth)
     if len(models) == 1:
         g, _ = model_io.parse_model(models[0])
-        root = reachability.build_computing_tree(g, cfg.depth)
+        root = reachability.build_computing_tree(g, depth)
     elif len(models) == 2:
         g, _ = model_io.parse_model(models[0])
         h, _ = model_io.parse_model(models[1])
-        root = reachability.build_pair_computing_tree(g, h, cfg.depth)
+        root = reachability.build_pair_computing_tree(g, h, depth)
     else:
         raise click.UsageError("tree takes one or two model files")
     if fmt == "dot":

@@ -12,12 +12,18 @@ Two views of the same set:
 Max-min systems always close (every computed entry is drawn from the finite
 set of input values).  Max-product systems may not; they get a depth cap
 that turns possible divergence into a DepthExceeded diagnostic.
+
+The graph enumerations of max-min systems run on the automata's rank tables
+(`FuzzyAutomaton.ranks`): the BFS steps, hashes and compares tuples of int
+ranks, and the labels are decoded to Fraction vectors once, at the graph
+boundary — the finished nodes, or the open frontier of a DepthExceeded.
+Max-product systems step Fractions throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import automaton as fa
 from .algebra import Semantics, format_vector
@@ -124,7 +130,15 @@ class ReachableStateGraph:
         return node
 
 
-def _bfs(root_label, events: Sequence[str], step_fn, max_depth: Optional[int]) -> ReachableStateGraph:
+def _bfs(
+    root_label,
+    events: Sequence[str],
+    step_fn,
+    max_depth: Optional[int],
+    decode: Optional[Callable] = None,
+) -> ReachableStateGraph:
+    """Breadth-first enumeration; `decode` maps the labels step_fn works on
+    to the labels the graph (or a DepthExceeded frontier) reports."""
     nodes: List[tuple] = [root_label]
     index: Dict[tuple, int] = {root_label: 0}
     witness: Dict[int, Tuple[str, ...]] = {0: ()}
@@ -148,6 +162,9 @@ def _bfs(root_label, events: Sequence[str], step_fn, max_depth: Optional[int]) -
                 witness[j] = witness[i] + (e,)
                 queue.append((j, depth + 1))
             edges[(i, e)] = j
+    if decode is not None:
+        nodes = map(decode, nodes)
+        overflow = [decode(label) for label in overflow]
     if overflow:
         raise DepthExceeded(max_depth, overflow)
     return ReachableStateGraph(tuple(nodes), edges, witness, tuple(events))
@@ -156,6 +173,9 @@ def _bfs(root_label, events: Sequence[str], step_fn, max_depth: Optional[int]) -
 def enumerate_states(g: fa.FuzzyAutomaton, max_depth: Optional[int] = None) -> ReachableStateGraph:
     """All distinct fuzzy states q̃0 * s, in BFS order with shortest witnesses."""
     depth = _resolve_depth(g.semantics, max_depth)
+    if g.semantics is Semantics.MAX_MIN:
+        table = g.ranks()
+        return _bfs(table.initial, g.alphabet, table.step, depth, table.decode)
     return _bfs(g.initial, g.alphabet, lambda q, e: fa.step(g, q, e), depth)
 
 
@@ -165,6 +185,15 @@ def enumerate_pairs(
     """All distinct synchronized pairs (q̃0 * s, p̃0 * s)."""
     _require_pairable(g, h)
     depth = _resolve_depth(g.semantics, max_depth)
+    if g.semantics is Semantics.MAX_MIN:
+        tg, th = g.ranks(), h.ranks()
+        return _bfs(
+            (tg.initial, th.initial),
+            g.alphabet,
+            lambda lab, e: (tg.step(lab[0], e), th.step(lab[1], e)),
+            depth,
+            lambda lab: (tg.decode(lab[0]), th.decode(lab[1])),
+        )
     return _bfs(
         (g.initial, h.initial),
         g.alphabet,

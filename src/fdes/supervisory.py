@@ -19,7 +19,10 @@ synthesized supervisor realizes
              = pr(K̃)(s·σ)              otherwise
 
 lazily from its source models; explicit supervisors carry a finite table
-with a default.
+with a default.  For a max-min automaton spec, S̃(s)(σ) too depends on s
+only through its pair class, so the synthesized supervisor's rows and the
+exact admissibility check read it off the reachable pair graph, and walks
+over strings carry the plant's fuzzy state instead of replaying s from q̃0.
 """
 
 from __future__ import annotations
@@ -150,6 +153,26 @@ def _finish(rows: List[ReportRow], warnings: List[str], n: Optional[int] = None)
     return ControllabilityReport(rows, counterexample is None, counterexample, warnings, n)
 
 
+def _node_degrees(pairs: reachability.ReachableStateGraph) -> Tuple[List[Fraction], List[Fraction]]:
+    """L_G̃ and pr(K̃) at each (plant, spec) pair node: the largest entries."""
+    return [max_element(vg) for vg, _ in pairs.nodes], [max_element(vh) for _, vh in pairs.nodes]
+
+
+def _enablement(uc: Fraction, lg_next: Fraction, prk_next: Fraction) -> Fraction:
+    """The constructive rule S̃(s)(σ) from Σ̃uc(σ), L_G̃(s·σ) and pr(K̃)(s·σ)."""
+    return min(uc, lg_next) if uc >= prk_next else prk_next
+
+
+def _pair_successors(pairs: reachability.ReachableStateGraph, attrs: EventAttributes):
+    """(i, s, σ, Σ̃uc(σ), j) for each pair node i, in witness order, with its
+    witness s and each event σ in alphabet order, where j is the σ-successor
+    node of i read off the graph's edges."""
+    uc = [(sigma, attrs.uc(sigma)) for sigma in pairs.events]
+    for i, s in pairs.witness.items():
+        for sigma, uc_sigma in uc:
+            yield i, s, sigma, uc_sigma, pairs.edges[(i, sigma)]
+
+
 def check_controllability(
     g: FuzzyAutomaton, h: FuzzyAutomaton, attrs: EventAttributes
 ) -> ControllabilityReport:
@@ -157,6 +180,14 @@ def check_controllability(
 
     h is the specification automaton generating pr(K̃).
     """
+    return _check_pair_classes(g, h, attrs)[0]
+
+
+def _check_pair_classes(
+    g: FuzzyAutomaton, h: FuzzyAutomaton, attrs: EventAttributes
+) -> Tuple[ControllabilityReport, reachability.ReachableStateGraph]:
+    """check_controllability, also returning the pair graph it checked;
+    each row reads its successor pair off the graph's edges."""
     if g.semantics is not Semantics.MAX_MIN or h.semantics is not Semantics.MAX_MIN:
         raise SemanticsMismatch(
             "the pair-class check is exact for max-min systems only; "
@@ -165,29 +196,19 @@ def check_controllability(
     fa.require_same_alphabet(g, h)
     attrs.require_alphabet(g.alphabet)
     pairs = reachability.enumerate_pairs(g, h)
-    rows: List[ReportRow] = []
+    lg, prk = _node_degrees(pairs)
     warnings: List[str] = []
-    for i, (vg, vh) in enumerate(pairs.nodes):
-        s = pairs.witness[i]
-        prK_s = max_element(vh)
-        lg_s = max_element(vg)
-        if prK_s > lg_s and not warnings:
-            warnings.append(
-                f"pr(K) is not contained in L(G): at {string_to_text(s)} "
-                f"pr(K)={format_degree(prK_s)} > L(G)={format_degree(lg_s)}"
-            )
-        for sigma in g.alphabet:
-            rows.append(
-                _make_row(
-                    s,
-                    sigma,
-                    prK_s,
-                    max_element(fa.step(g, vg, sigma)),
-                    attrs.uc(sigma),
-                    max_element(fa.step(h, vh, sigma)),
-                )
-            )
-    return _finish(rows, warnings)
+    i = next((i for i in pairs.witness if prk[i] > lg[i]), None)
+    if i is not None:
+        warnings.append(
+            f"pr(K) is not contained in L(G): at {string_to_text(pairs.witness[i])} "
+            f"pr(K)={format_degree(prk[i])} > L(G)={format_degree(lg[i])}"
+        )
+    rows = [
+        _make_row(s, sigma, prk[i], lg[j], uc_sigma, prk[j])
+        for i, s, sigma, uc_sigma, j in _pair_successors(pairs, attrs)
+    ]
+    return _finish(rows, warnings), pairs
 
 
 def check_language_controllability(
@@ -301,6 +322,10 @@ class SynthesizedSupervisor:
     spec_automaton: Optional[FuzzyAutomaton] = None
     spec_language: Optional[FiniteSupportFuzzyLanguage] = None
     check_passed: Optional[bool] = None
+    # the reachable (plant, spec) pair graph of a max-min automaton spec, built on first use
+    _pairs: Optional[reachability.ReachableStateGraph] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if (self.spec_automaton is None) == (self.spec_language is None):
@@ -318,21 +343,29 @@ class SynthesizedSupervisor:
         return self._prk(s)
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
-        s = tuple(s)
-        uc = self.attrs.uc(sigma)
-        prk_next = self.prk_degree(s + (sigma,))
-        if uc >= prk_next:
-            return min(uc, fa.generated_degree(self.plant, s + (sigma,)))
-        return prk_next
+        s_sigma = tuple(s) + (sigma,)
+        return _enablement(
+            self.attrs.uc(sigma), fa.generated_degree(self.plant, s_sigma), self.prk_degree(s_sigma)
+        )
 
     def enablement(self, s: EventString) -> Dict[str, Fraction]:
         return {sigma: self.enablement_degree(s, sigma) for sigma in self.alphabet}
 
+    def pair_graph(self) -> reachability.ReachableStateGraph:
+        """The reachable (plant, spec) pair graph (max-min automaton spec)."""
+        if self._pairs is None:
+            self._pairs = reachability.enumerate_pairs(self.plant, self.spec_automaton)
+        return self._pairs
+
     def rows(self) -> List[Tuple[EventString, Dict[str, Fraction]]]:
         """One representative enablement row per distinguishable input."""
         if self.spec_automaton is not None and self.plant.semantics is Semantics.MAX_MIN:
-            pairs = reachability.enumerate_pairs(self.plant, self.spec_automaton)
-            return [(pairs.witness[i], self.enablement(pairs.witness[i])) for i in range(len(pairs.nodes))]
+            pairs = self.pair_graph()
+            lg, prk = _node_degrees(pairs)
+            rows = {s: {} for s in pairs.witness.values()}
+            for i, s, sigma, uc_sigma, j in _pair_successors(pairs, self.attrs):
+                rows[s][sigma] = _enablement(uc_sigma, lg[j], prk[j])
+            return list(rows.items())
         if self.spec_language is not None:
             return [(s, self.enablement(s)) for s in self._prk.support()]
         raise SemanticsMismatch("no finite representative table for a max-product pair")
@@ -374,22 +407,74 @@ def synthesize_supervisor(
     check first and flags the result (synthesis itself is total)."""
     if isinstance(spec, FuzzyAutomaton):
         if g.semantics is Semantics.MAX_MIN:
-            report = check_controllability(g, spec, attrs)
-        else:
-            report = check_n_controllability(g, spec, attrs, check_depth)
+            report, pairs = _check_pair_classes(g, spec, attrs)
+            sup = SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
+            sup._pairs = pairs
+            return sup
+        report = check_n_controllability(g, spec, attrs, check_depth)
         return SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
     report = check_language_controllability(g, spec, attrs)
     return SynthesizedSupervisor(g, attrs, spec_language=spec, check_passed=report.overall)
 
 
+def _supervises(sup: Supervisor, g: FuzzyAutomaton) -> bool:
+    """Whether sup was synthesized for g itself, so that g's fuzzy states
+    give it L_G̃ and g's pair classes are its own."""
+    return isinstance(sup, SynthesizedSupervisor) and (
+        sup.plant is g or (sup.plant == g and sup.plant.alphabet == g.alphabet)
+    )
+
+
+def _state_walk(g: FuzzyAutomaton) -> Tuple[tuple, Callable, Callable, Callable]:
+    """How a walk over strings carries g's fuzzy state: (start, step, top,
+    vector), where step(v, σ) is the next state, top(v) its generated degree
+    and vector(v) its Fraction vector.  Max-min automata are walked in rank
+    space (`FuzzyAutomaton.ranks`), so no step encodes or decodes."""
+    if g.semantics is Semantics.MAX_MIN:
+        table = g.ranks()
+        values = table.values
+        return table.initial, table.step, lambda r: values[max(r)], table.decode
+    return g.initial, lambda v, sigma: fa.step(g, v, sigma), max_element, lambda v: v
+
+
+_Follow = Callable[[object, EventString, str, Fraction], Tuple[Fraction, object]]
+
+
+def _follower(sup: Supervisor, g: FuzzyAutomaton) -> Tuple[object, _Follow]:
+    """How a walk over g's strings reads S̃(s)(σ): (start, follow), where
+    follow(state, s, σ, lg) gives S̃(s)(σ) and the next walk state, and lg is
+    L_G̃(s·σ), which the walk has from g's fuzzy state.
+
+    A synthesized supervisor of g uses that lg and carries its spec
+    automaton's fuzzy state as the walk state; any other supervisor is asked
+    directly, which for a synthesized one replays s·σ from q̃0.
+    """
+    if not _supervises(sup, g):
+        return None, lambda state, s, sigma, lg: (sup.enablement_degree(s, sigma), None)
+    uc = sup.attrs.uc
+    if sup.spec_automaton is None:
+        prk = sup._prk
+        return None, lambda state, s, sigma, lg: (_enablement(uc(sigma), lg, prk(s + (sigma,))), None)
+    start, step, top, _ = _state_walk(sup.spec_automaton)
+
+    def follow(w, s, sigma, lg):
+        w = step(w, sigma)
+        return _enablement(uc(sigma), lg, top(w)), w
+
+    return start, follow
+
+
 def controlled_generated_degree(sup: Supervisor, g: FuzzyAutomaton, s: Sequence[str]) -> Fraction:
     """L_{S̃/G̃}: ε ↦ 1, then min(previous, L_G̃(s·σ), S̃(s)(σ)) along the string."""
+    state, follow = _follower(sup, g)
+    v, step, top, _ = _state_walk(g)
     degree = ONE
-    v = g.initial
     prefix: EventString = ()
     for sigma in s:
-        v = fa.step(g, v, sigma)
-        degree = min(degree, max_element(v), sup.enablement_degree(prefix, sigma))
+        v = step(v, sigma)
+        lg = top(v)
+        enabled, state = follow(state, prefix, sigma, lg)
+        degree = min(degree, lg, enabled)
         prefix = prefix + (sigma,)
     return degree
 
@@ -410,47 +495,50 @@ def check_admissibility(
 ) -> AdmissibilityResult:
     """min(Σ̃uc(σ), L_G̃(s·σ)) ≤ S̃(s)(σ).
 
-    Exact over reachable pair classes for a synthesized max-min supervisor
-    with an automaton spec; otherwise checked on all strings of length ≤ n
-    (the result names the domain used).
+    Exact over reachable pair classes for a max-min supervisor synthesized
+    for g itself from an automaton spec; otherwise checked on all strings of
+    length ≤ n (the result names the domain used).  For a supervisor of
+    another plant, one pair class of g can hold strings the supervisor
+    treats differently, so the pair classes are not exact there.
     """
     attrs.require_alphabet(g.alphabet)
-
-    def violation_at(s: EventString, v: tuple) -> Optional[Tuple[EventString, str, Fraction, Fraction]]:
-        for sigma in g.alphabet:
-            required = min(attrs.uc(sigma), max_element(fa.step(g, v, sigma)))
-            provided = sup.enablement_degree(s, sigma)
-            if required > provided:
-                return (s, sigma, required, provided)
-        return None
-
     exact = (
         n is None
-        and isinstance(sup, SynthesizedSupervisor)
+        and _supervises(sup, g)
         and sup.spec_automaton is not None
         and g.semantics is Semantics.MAX_MIN
         and sup.spec_automaton.semantics is Semantics.MAX_MIN
     )
     if exact:
-        pairs = reachability.enumerate_pairs(g, sup.spec_automaton)
-        for i in range(len(pairs.nodes)):
-            s = pairs.witness[i]
-            bad = violation_at(s, pairs.nodes[i][0])
-            if bad:
-                return AdmissibilityResult(False, bad, "exact (reachable pair classes)")
-        return AdmissibilityResult(True, None, "exact (reachable pair classes)")
+        domain = "exact (reachable pair classes)"
+        pairs = sup.pair_graph()
+        lg, prk = _node_degrees(pairs)
+        for i, s, sigma, sup_uc, j in _pair_successors(pairs, sup.attrs):
+            required = min(attrs.uc(sigma), lg[j])
+            provided = _enablement(sup_uc, lg[j], prk[j])
+            if required > provided:
+                return AdmissibilityResult(False, (s, sigma, required, provided), domain)
+        return AdmissibilityResult(True, None, domain)
 
     bound = 6 if n is None else n
-    level: List[Tuple[EventString, tuple]] = [((), g.initial)]
-    for _ in range(bound + 1):
+    domain = f"strings of length ≤ {bound}"
+    start, follow = _follower(sup, g)
+    v0, step, top, _ = _state_walk(g)
+    level: List[Tuple[EventString, tuple, object]] = [((), v0, start)]
+    for length in range(bound + 1):
         next_level = []
-        for s, v in level:
-            bad = violation_at(s, v)
-            if bad:
-                return AdmissibilityResult(False, bad, f"strings of length ≤ {bound}")
-            next_level.extend((s + (sigma,), fa.step(g, v, sigma)) for sigma in g.alphabet)
+        for s, v, state in level:
+            for sigma in g.alphabet:
+                v2 = step(v, sigma)
+                lg = top(v2)
+                provided, state2 = follow(state, s, sigma, lg)
+                required = min(attrs.uc(sigma), lg)
+                if required > provided:
+                    return AdmissibilityResult(False, (s, sigma, required, provided), domain)
+                if length < bound:
+                    next_level.append((s + (sigma,), v2, state2))
         level = next_level
-    return AdmissibilityResult(True, None, f"strings of length ≤ {bound}")
+    return AdmissibilityResult(True, None, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -553,20 +641,24 @@ def check_nonblocking(
         depth = max((len(t) for t in prk.support()), default=0) + 2
     gen: Dict[EventString, Fraction] = {}
     marked: Dict[EventString, Fraction] = {}
-    level = [((), g.initial, ONE)]
+    start, follow = _follower(sup, g)
+    v0, step, top, vector = _state_walk(g)
+    plant_marked: Dict[tuple, Fraction] = {}  # L_G̃,m per plant state met
+    level = [((), v0, ONE, start)]
     for _ in range(depth + 1):
         next_level = []
-        for s, v, degree in level:
+        for s, v, degree, state in level:
             gen[s] = degree
-            plant_marked = (
-                max(inner_sup(v, q, g.semantics) for q in g.marked) if g.marked else ZERO
-            )
-            marked[s] = min(degree, plant_marked)
+            if v not in plant_marked:
+                q = vector(v)
+                plant_marked[v] = max(inner_sup(q, m, g.semantics) for m in g.marked) if g.marked else ZERO
+            marked[s] = min(degree, plant_marked[v])
             if len(s) < depth:
                 for sigma in g.alphabet:
-                    v2 = fa.step(g, v, sigma)
-                    d2 = min(degree, max_element(v2), sup.enablement_degree(s, sigma))
-                    next_level.append((s + (sigma,), v2, d2))
+                    v2 = step(v, sigma)
+                    lg = top(v2)
+                    enabled, state2 = follow(state, s, sigma, lg)
+                    next_level.append((s + (sigma,), v2, min(degree, lg, enabled), state2))
         level = next_level
     pr_marked: Dict[EventString, Fraction] = dict(marked)
     for s in sorted(gen, key=len, reverse=True):

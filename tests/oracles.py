@@ -3,13 +3,16 @@
 Everything here is deliberately naive: set-based crisp controllability,
 exhaustive candidate search over a finite value lattice, plain nested loops.
 The point is to have independently-written baselines to compare the library
-against, so nothing below imports from fdes beyond the data containers.
+against, so nothing below imports from fdes beyond the data containers and
+the Fraction max-min kernel `maxmin_apply`, which the rank-space paths of
+the library are checked against.
 """
 from fractions import Fraction
 from itertools import product
 
-from fdes.algebra import ONE, ZERO, Semantics
+from fdes.algebra import ONE, ZERO, Semantics, maxmin_apply
 from fdes.automaton import FuzzyAutomaton
+from fdes.errors import NotCrisp
 from fdes.language import (
     FiniteSupportFuzzyLanguage,
     fuzzy_and,
@@ -234,6 +237,151 @@ def assert_closures_match_brute_force(k, m, attrs, values):
     inf = infimal_prefix_closed_superlanguage(k, m, attrs)
     assert sup == brute_supremal(k, m, attrs, values)
     assert inf == brute_infimal(k, m, attrs, values)
+
+
+# --- reachable states by plain Fraction stepping -----------------------------
+
+def bfs_oracle(root, events, step, max_depth=None):
+    """Breadth-first enumeration with a list for a visited set.
+
+    Returns (nodes, edges, witness, overflow): labels in discovery order,
+    the (node, event) -> node map, the first witness of each node, and the
+    new labels met beyond `max_depth`, in the order they were met.
+    """
+    nodes, depth, witness, edges, overflow = [root], [0], {0: ()}, {}, []
+    i = 0
+    while i < len(nodes):
+        for e in events:
+            label = step(nodes[i], e)
+            if label in nodes:
+                j = nodes.index(label)
+            elif max_depth is not None and depth[i] + 1 > max_depth:
+                overflow.append(label)
+                continue
+            else:
+                j = len(nodes)
+                nodes.append(label)
+                depth.append(depth[i] + 1)
+                witness[j] = witness[i] + (e,)
+            edges[(i, e)] = j
+        i += 1
+    return nodes, edges, witness, overflow
+
+
+def maxmin_states_oracle(g, max_depth=None):
+    return bfs_oracle(g.initial, g.alphabet, lambda q, e: maxmin_apply(q, g.matrix(e)), max_depth)
+
+
+def maxmin_pairs_oracle(g, h, max_depth=None):
+    def step(label, e):
+        return maxmin_apply(label[0], g.matrix(e)), maxmin_apply(label[1], h.matrix(e))
+
+    return bfs_oracle((g.initial, h.initial), g.alphabet, step, max_depth)
+
+
+# --- supervised languages by string replay ------------------------------------
+
+def strings_up_to(alphabet, depth):
+    """Every string of length <= depth, in (length, declaration order)."""
+    level, out = [()], [()]
+    for _ in range(depth):
+        level = [s + (e,) for s in level for e in alphabet]
+        out.extend(level)
+    return out
+
+
+def controlled_degree_by_replay(sup, g, s):
+    """L_{S/G}(s) from its definition: every factor replayed from q0."""
+    from fdes.automaton import generated_degree
+
+    degree = ONE
+    for i, e in enumerate(s):
+        degree = min(degree, generated_degree(g, s[: i + 1]), sup.enablement_degree(s[:i], e))
+    return degree
+
+
+def direct_nonblocking_by_replay(sup, g, depth):
+    """The direct comparison pr(L_{S/G,m}) = L_{S/G} on strings of length
+    <= depth, by replay: returns (ok, first diverging string or None)."""
+    from fdes.automaton import marked_degree
+
+    strings = strings_up_to(g.alphabet, depth)
+    gen = {s: controlled_degree_by_replay(sup, g, s) for s in strings}
+    pr_marked = {s: min(gen[s], marked_degree(g, s)) for s in strings}
+    for s in reversed(strings):
+        if s and pr_marked[s] > pr_marked[s[:-1]]:
+            pr_marked[s[:-1]] = pr_marked[s]
+    for s in sorted(strings, key=lambda t: (len(t), t)):
+        if pr_marked[s] != gen[s]:
+            return False, s
+    return True, None
+
+
+def admissibility_by_replay(sup, g, attrs, n):
+    """The first (s, σ, required, provided) with min(uc(σ), L_G(s·σ)) above
+    S(s)(σ) over strings of length <= n, by replay: returns (ok, violation)."""
+    from fdes.automaton import generated_degree
+
+    for s in strings_up_to(g.alphabet, n):
+        for e in g.alphabet:
+            required = min(attrs.uc(e), generated_degree(g, s + (e,)))
+            provided = sup.enablement_degree(s, e)
+            if required > provided:
+                return False, (s, e, required, provided)
+    return True, None
+
+
+# --- crisp synchronous product (pair transitions, no tensor algebra) -----------
+
+def crisp_parallel_reference(g1: FuzzyAutomaton, g2: FuzzyAutomaton) -> FuzzyAutomaton:
+    """Textbook synchronous product of two crisp automata, built from pair
+    transitions rather than tensor algebra; used as an oracle."""
+    for g in (g1, g2):
+        if not g.is_crisp():
+            raise NotCrisp("crisp_parallel_reference needs {0,1} degrees")
+    n1, n2 = g1.dim, g2.dim
+
+    def pair(i, j):
+        return i * n2 + j
+
+    events: Dict[str, tuple] = {}
+    for name in list(g1.events) + [e for e in g2.events if e not in g1.events]:
+        grid = [[ZERO] * (n1 * n2) for _ in range(n1 * n2)]
+        for i in range(n1):
+            for j in range(n2):
+                for ii in range(n1):
+                    for jj in range(n2):
+                        if name in g1.events and name in g2.events:
+                            ok = g1.events[name][i][ii] == ONE and g2.events[name][j][jj] == ONE
+                        elif name in g1.events:
+                            ok = g1.events[name][i][ii] == ONE and j == jj
+                        else:
+                            ok = i == ii and g2.events[name][j][jj] == ONE
+                        if ok:
+                            grid[pair(i, j)][pair(ii, jj)] = ONE
+        events[name] = tuple(tuple(row) for row in grid)
+
+    initial = tuple(
+        ONE if g1.initial[i] == ONE and g2.initial[j] == ONE else ZERO
+        for i in range(n1)
+        for j in range(n2)
+    )
+    marked = tuple(
+        tuple(
+            ONE if m1[i] == ONE and m2[j] == ONE else ZERO
+            for i in range(n1)
+            for j in range(n2)
+        )
+        for m1 in g1.marked
+        for m2 in g2.marked
+    )
+    return FuzzyAutomaton(
+        state_labels=tuple(f"{a},{b}" for a in g1.state_labels for b in g2.state_labels),
+        events=events,
+        initial=initial,
+        marked=marked,
+        semantics=g1.semantics,
+    )
 
 
 # --- crisp pair-subset controllability (independent of the fuzzy code path) ---

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from fdes.algebra import ONE, ZERO, Semantics, apply_event, as_vector, max_element
+from fdes.algebra import ONE, ZERO, Semantics, apply_event, as_vector, max_element, maxmin_apply
 from fdes.automaton import (
     EPSILON,
     FuzzyAutomaton,
-    crisp_parallel_reference,
     generated_degree,
     marked_degree,
     parallel_compose,
@@ -117,6 +116,24 @@ def test_run_agrees_with_stepwise_fold_random():
         assert run(g, s) == v
 
 
+def test_maxmin_step_accepts_degrees_the_automaton_lacks():
+    """The rank kernel covers the automaton's own degrees; any other vector
+    must still step exactly as the Fraction kernel does."""
+    rng = random.Random(14)
+    foreign = (F(1, 3), F(2, 7), F(0.45), F(99, 100), ZERO, ONE)
+    for _ in range(60):
+        g = oracles.random_automaton(rng)
+        own = sorted(set(g.initial) | {x for e in g.alphabet for row in g.matrix(e) for x in row})
+        for palette in (own, foreign, own + list(foreign)):
+            q = tuple(rng.choice(palette) for _ in range(g.dim))
+            for e in g.alphabet:
+                assert step(g, q, e) == maxmin_apply(q, g.matrix(e))
+    with pytest.raises(DimensionError):
+        step(g, (ONE,) * (g.dim + 1), g.alphabet[0])
+    with pytest.raises(UnknownEvent):
+        step(g, g.initial, "nope")
+
+
 # --- parallel composition ------------------------------------------------------
 
 
@@ -169,7 +186,7 @@ def test_parallel_compose_shared_event_tensors():
 def test_crisp_parallel_reference_matches_tensor_construction(crisp_pair):
     g, h = crisp_pair
     via_tensor = parallel_compose(g, h)
-    via_pairs = crisp_parallel_reference(g, h)
+    via_pairs = oracles.crisp_parallel_reference(g, h)
     assert via_pairs.alphabet == via_tensor.alphabet
     assert via_pairs.initial == via_tensor.initial
     assert via_pairs.state_labels == via_tensor.state_labels
@@ -181,7 +198,7 @@ def test_crisp_parallel_reference_matches_tensor_construction(crisp_pair):
 def test_crisp_parallel_reference_rejects_fuzzy(two_state):
     g, h = two_state
     with pytest.raises(NotCrisp):
-        crisp_parallel_reference(g, h)
+        oracles.crisp_parallel_reference(g, h)
 
 
 def test_require_same_alphabet(two_state, chain):
@@ -200,7 +217,7 @@ def test_compose_random_crisp_agreement():
         g1 = oracles.random_automaton(rng, palette=(ZERO, ONE), marked=True)
         g2 = oracles.random_automaton(rng, palette=(ZERO, ONE), marked=True)
         c1 = parallel_compose(g1, g2)
-        c2 = crisp_parallel_reference(g1, g2)
+        c2 = oracles.crisp_parallel_reference(g1, g2)
         assert c1.initial == c2.initial and c1.marked == c2.marked
         for e in c1.alphabet:
             assert c1.matrix(e) == c2.matrix(e)

@@ -174,6 +174,22 @@ def test_depth_env_override():
     assert res.returncode == 2
 
 
+def test_negative_depth_is_a_parse_error():
+    res = fdes("reach", path("maxmin_plant_2state.json"), "--depth", "-1")
+    assert res.returncode == 2
+    assert "depth must be ≥ 0" in res.stderr
+    res = fdes("tree", path("maxmin_plant_2state.json"), env={"FDES_DEPTH_DEFAULT": "-1"})
+    assert res.returncode == 2
+    assert "depth must be ≥ 0" in res.stderr
+    res = fdes(
+        "nonblock", path("chain_supervisor_explicit.json"), path("chain_plant.json"),
+        path("chain_spec_language.json"), "--attrs", path("attrs_chain_nonblocking.json"),
+        "--depth", "-1",
+    )
+    assert res.returncode == 2
+    assert "depth must be ≥ 0" in res.stderr
+
+
 def test_check_n_exit_codes():
     args = (
         path("maxmin_plant_2state.json"), path("maxmin_spec_2state.json"),

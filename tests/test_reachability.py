@@ -195,3 +195,52 @@ def test_maxmin_always_closes_random():
         if len(graph.nodes) <= 8:
             tree_labels = {n.label for n in build_computing_tree(g).walk()}
             assert tree_labels == set(graph.nodes)
+
+
+# --- rank-space enumeration against plain Fraction stepping -----------------------
+
+# tenths plus degrees with no finite decimal expansion
+RANK_PALETTE = oracles.HALF_STEPS + (F(1, 3), F(2, 3), F(1, 7), F(5, 7))
+
+
+def assert_graph_equals_oracle(graph, oracle):
+    nodes, edges, witness, overflow = oracle
+    assert not overflow
+    assert graph.nodes == tuple(nodes)
+    assert graph.edges == edges
+    assert graph.witness == witness
+
+
+def all_fractions(label):
+    vectors = label if isinstance(label[0], tuple) else (label,)
+    return all(type(d) is Fraction for vec in vectors for d in vec)
+
+
+def test_rank_enumeration_matches_fraction_bfs_random():
+    rng = random.Random(31)
+    for _ in range(80):
+        g, h = oracles.dominated_pair(rng, palette=RANK_PALETTE)
+        states = enumerate_states(g)
+        assert_graph_equals_oracle(states, oracles.maxmin_states_oracle(g))
+        pairs = enumerate_pairs(g, h)
+        assert_graph_equals_oracle(pairs, oracles.maxmin_pairs_oracle(g, h))
+        assert all(all_fractions(label) for label in states.nodes + pairs.nodes)
+
+
+def test_rank_enumeration_frontier_is_decoded_random():
+    rng = random.Random(32)
+    exceeded = 0
+    for _ in range(80):
+        g, h = oracles.dominated_pair(rng, palette=RANK_PALETTE)
+        k = rng.randint(0, 2)
+        nodes, edges, witness, overflow = oracles.maxmin_pairs_oracle(g, h, max_depth=k)
+        if not overflow:
+            assert_graph_equals_oracle(enumerate_pairs(g, h, max_depth=k), (nodes, edges, witness, []))
+            continue
+        exceeded += 1
+        with pytest.raises(DepthExceeded) as err:
+            enumerate_pairs(g, h, max_depth=k)
+        assert err.value.depth == k
+        assert err.value.frontier == overflow
+        assert all(all_fractions(label) for label in err.value.frontier)
+    assert exceeded >= 20

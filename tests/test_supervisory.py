@@ -4,13 +4,16 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from fdes.algebra import ONE, ZERO
-from fdes.errors import AlphabetMismatch, SemanticsMismatch, StringNotInLanguage
+import fdes.automaton
+from fdes.algebra import ONE, ZERO, max_element
+from fdes.automaton import FuzzyAutomaton, generated_degree, run, step
+from fdes.errors import AlphabetMismatch, SemanticsMismatch, StringNotInLanguage, UnknownEvent
 from fdes.language import FiniteSupportFuzzyLanguage, prefix_closure
 from fdes.supervisory import (
     REPORT_HEADERS,
     EventAttributes,
     ExplicitSupervisor,
+    SynthesizedSupervisor,
     check_admissibility,
     check_controllability,
     check_language_controllability,
@@ -258,6 +261,147 @@ def test_synthesized_supervisors_are_admissible_random():
         attrs = oracles.random_attrs(rng, g.alphabet)
         sup = synthesize_supervisor(g, h, attrs)
         assert check_admissibility(sup, g, attrs).ok
+
+
+def test_admissibility_for_another_plant_is_not_exact():
+    """A supervisor synthesized for one plant and checked against another:
+    one pair class of g can hold strings the supervisor treats differently,
+    so the pair classes must not be reported as an exact domain."""
+    labels = ("q0", "q1")
+    g = FuzzyAutomaton(
+        labels, {"a": [["0.5", "0.9"], ["0.2", "0.9"]], "b": [["0.2", "0.2"], ["0.4", "0.4"]]}, ["0.6", "0.9"]
+    )
+    plant = FuzzyAutomaton(
+        labels, {"a": [["0.6", "0.2"], ["0.9", "0.1"]], "b": [["0.3", "0.7"], ["0", "0.2"]]}, ["0.8", "0.5"]
+    )
+    spec = FuzzyAutomaton(
+        labels, {"a": [["0.8", "1"], ["0.7", "1"]], "b": [["1", "0.3"], ["0.3", "0.5"]]}, ["0.7", "1"]
+    )
+    attrs = EventAttributes({"a": "0.7", "b": "0.3"})
+    sup = synthesize_supervisor(plant, spec, attrs)
+    # at (b b, a): uc(a) = 0.7 ≥ prK(b b a) = 0.7, so S(b b)(a) = min(0.7, L_plant(b b a) = 0.3),
+    # below the required min(0.7, L_g(b b a) = 0.4)
+    bba = ("b", "b", "a")
+    assert (generated_degree(g, bba), generated_degree(spec, bba), generated_degree(plant, bba)) == (
+        F(2, 5), F(7, 10), F(3, 10)
+    )
+    assert sup.enablement_degree(("b", "b"), "a") == F(3, 10)
+    res = check_admissibility(sup, g, attrs)
+    assert not res.ok
+    assert res.domain == "strings of length ≤ 6"
+    s, e, required, provided = res.counterexample
+    assert required == min(attrs.uc(e), generated_degree(g, s + (e,)))
+    assert provided == sup.enablement_degree(s, e) < required
+    assert check_admissibility(sup, plant, attrs) == (True, None, "exact (reachable pair classes)")
+
+
+# --- graph paths against their string-replay definitions ----------------------------
+
+
+def random_plant_like(rng, g):
+    """Another max-min plant over g's alphabet, with one marked state."""
+    n = rng.randint(1, 3)
+    grid = lambda: tuple(tuple(rng.choice(oracles.HALF_STEPS) for _ in range(n)) for _ in range(n))
+    row = lambda: tuple(rng.choice(oracles.HALF_STEPS) for _ in range(n))
+    return FuzzyAutomaton(tuple(f"p{i}" for i in range(n)), {e: grid() for e in g.alphabet}, row(), (row(),))
+
+
+def random_supervised_instances(seed, count):
+    """(g, h, k, attrs): a max-min plant with a marked state, a spec automaton
+    bounded by it, a spec language and event attributes."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        g, h = oracles.dominated_pair(rng)
+        marked = (tuple(rng.choice(oracles.HALF_STEPS) for _ in range(g.dim)),)
+        g = FuzzyAutomaton(g.state_labels, g.events, g.initial, marked, g.semantics)
+        k = oracles.random_language(rng, g.alphabet, max_len=2)
+        yield rng, g, h, k, oracles.random_attrs(rng, g.alphabet)
+
+
+def test_supervisor_rows_equal_their_replay_definition_random():
+    for _, g, h, _, attrs in random_supervised_instances(51, 30):
+        witnesses = oracles.maxmin_pairs_oracle(g, h)[2].values()
+        for sup in (synthesize_supervisor(g, h, attrs), SynthesizedSupervisor(g, attrs, spec_automaton=h)):
+            assert sup.rows() == [(w, {e: sup.enablement_degree(w, e) for e in g.alphabet}) for w in witnesses]
+
+
+def test_check_rows_equal_per_witness_steps_random():
+    for _, g, h, _, attrs in random_supervised_instances(52, 30):
+        expected = []
+        for w in oracles.maxmin_pairs_oracle(g, h)[2].values():
+            vg, vh = run(g, w), run(h, w)
+            for e in g.alphabet:
+                lg, prk = max_element(step(g, vg, e)), max_element(step(h, vh, e))
+                expected.append((w, e, max_element(vh), lg, attrs.uc(e), prk))
+        report = check_controllability(g, h, attrs)
+        rows = [(r.representative, r.event, r.prK_s, r.LG_s_sigma, r.sigma_uc, r.prK_s_sigma) for r in report.rows]
+        assert rows == expected
+
+
+def test_supervised_walks_equal_their_replay_definition_random():
+    """check_nonblocking's direct comparison, controlled_generated_degree and
+    the bounded admissibility walk, for supervisors of g itself (read off g's
+    fuzzy states) and of another plant (replayed)."""
+    outcomes = set()
+    for rng, g, h, k, attrs in random_supervised_instances(53, 25):
+        twin = FuzzyAutomaton(g.state_labels, dict(g.events), g.initial, g.marked, g.semantics)
+        other = random_plant_like(rng, g)
+        other_h = FuzzyAutomaton(other.state_labels, other.events, other.initial, (), other.semantics)
+        other_attrs = oracles.random_attrs(rng, g.alphabet)
+        sups = [
+            synthesize_supervisor(g, h, attrs),
+            synthesize_supervisor(g, k, attrs),
+            synthesize_supervisor(twin, h, attrs),
+            synthesize_supervisor(other, other_h, attrs),
+            synthesize_supervisor(other, k, attrs),
+        ]
+        for sup in sups:
+            report = check_nonblocking(sup, g, k, attrs, depth=3)
+            direct = oracles.direct_nonblocking_by_replay(sup, g, 3)
+            assert (report.direct_ok, report.direct_witness) == direct
+            outcomes.add(direct[0])
+            strings = oracles.strings_up_to(g.alphabet, 3)
+            for s in rng.sample(strings, min(8, len(strings))):
+                assert controlled_generated_degree(sup, g, s) == oracles.controlled_degree_by_replay(sup, g, s)
+            res = check_admissibility(sup, g, other_attrs, n=2)
+            assert (res.ok, res.counterexample) == oracles.admissibility_by_replay(sup, g, other_attrs, 2)
+            outcomes.add(res.ok)
+    assert outcomes == {True, False}
+
+
+def test_controlled_degree_rejects_undeclared_events(two_state, attrs_two_state):
+    g, h = two_state
+    for sup in (synthesize_supervisor(g, h, attrs_two_state), ExplicitSupervisor(g.alphabet, {})):
+        with pytest.raises(UnknownEvent):
+            controlled_generated_degree(sup, g, ("a1", "zz"))
+
+
+def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, chain):
+    """The pair-class paths read successors off the pair graph, and the walks
+    over strings read L_G from the plant state they carry."""
+
+    def replayed(*args):
+        raise AssertionError("replayed a string from the initial state")
+
+    g, h = two_state
+    with monkeypatch.context() as m:
+        m.setattr(fdes.automaton, "step", replayed)
+        check_controllability(g, h, attrs_two_state)
+    sups = [synthesize_supervisor(g, h, attrs_two_state), SynthesizedSupervisor(g, attrs_two_state, spec_automaton=h)]
+    with monkeypatch.context() as m:
+        m.setattr(fdes.automaton, "run", replayed)
+        m.setattr(fdes.automaton, "generated_degree", replayed)
+        for sup in sups:
+            sup.rows()
+            assert check_admissibility(sup, g, attrs_two_state).domain == "exact (reachable pair classes)"
+    plant, k, attrs, _ = chain
+    k_g = FiniteSupportFuzzyLanguage(g.alphabet, {(): ONE, ("a1",): F(1, 2)})
+    cases = [(sups[0], g, k_g, attrs_two_state), (synthesize_supervisor(plant, k, attrs), plant, k, attrs)]
+    with monkeypatch.context() as m:
+        m.setattr(fdes.automaton, "generated_degree", replayed)
+        for sup, plant, lang, a in cases:
+            check_nonblocking(sup, plant, lang, a)
+            controlled_generated_degree(sup, plant, plant.alphabet * 2)
 
 
 # --- round trip -----------------------------------------------------------------------
