@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 from .errors import DimensionError, RangeError
 
@@ -103,6 +103,13 @@ def as_matrix(rows: Iterable) -> tuple:
 def format_vector(v: Sequence[Fraction]) -> str:
     """Render as the bracketed degree list used throughout the reports."""
     return "[" + " ".join(format_degree(d) for d in v) + "]"
+
+
+def format_table(rows: Sequence[Sequence[str]]) -> List[str]:
+    """Lay out text cells (a header first) as left-aligned columns two spaces
+    apart, one line per row with trailing blanks stripped."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -178,12 +178,14 @@ def generated_degree(g: FuzzyAutomaton, s: Iterable[str]):
 
 
 def marked_degree(g: FuzzyAutomaton, s: Iterable[str]):
-    """L_G̃,m(s): the degree to which the string is recognized (sup over
-    marked fuzzy states); 0 when no state is marked."""
-    v = run(g, s)
-    if not g.marked:
-        return ZERO
-    return max(algebra.inner_sup(v, q, g.semantics) for q in g.marked)
+    """L_G̃,m(s): the degree to which the string is recognized."""
+    return marked_at(g, run(g, s))
+
+
+def marked_at(g: FuzzyAutomaton, q: Sequence) -> Fraction:
+    """L_G̃,m of the strings that lead to the fuzzy state q: the sup over
+    marked fuzzy states; 0 when no state is marked."""
+    return max((algebra.inner_sup(q, m, g.semantics) for m in g.marked), default=ZERO)
 
 
 def parallel_compose(g1: FuzzyAutomaton, g2: FuzzyAutomaton) -> FuzzyAutomaton:

@@ -16,7 +16,7 @@ import click
 
 from . import model_io, reachability, supervisory
 from . import language as fl
-from .algebra import format_degree
+from .algebra import format_degree, format_table
 from .automaton import parallel_compose, string_from_text, string_to_text
 from .errors import DepthExceeded, FdesError, ParseError
 from .supervisory import EventAttributes
@@ -98,14 +98,18 @@ def _graph_json(graph) -> dict:
     }
 
 
-def _graph_text(graph) -> str:
-    header = ("s", "state")
-    rows = [header] + [
-        (string_to_text(graph.witness[i]), reachability.format_label(label))
-        for i, label in enumerate(graph.nodes)
-    ]
-    widths = [max(len(r[c]) for r in rows) for c in (0, 1)]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in rows) + "\n"
+def _graph_out(graph, fmt, out, title) -> None:
+    """Emit a reachable-state or pair listing as JSON, DOT or a text table."""
+    if fmt == "json":
+        emit_json(_graph_json(graph), out)
+    elif fmt == "dot":
+        emit(reachability.graph_to_dot(graph, title=title), out)
+    else:
+        rows = [("s", "state")] + [
+            (string_to_text(graph.witness[i]), reachability.format_label(label))
+            for i, label in enumerate(graph.nodes)
+        ]
+        emit("\n".join(format_table(rows)) + "\n", out)
 
 
 @main.command()
@@ -122,12 +126,7 @@ def reach(model, depth, fmt, out, verbose):
     graph = reachability.enumerate_states(g, depth)
     if verbose:
         click.echo(f"{len(graph.nodes)} distinct state(s)", err=True)
-    if fmt == "json":
-        emit_json(_graph_json(graph), out)
-    elif fmt == "dot":
-        emit(reachability.graph_to_dot(graph), out)
-    else:
-        emit(_graph_text(graph), out)
+    _graph_out(graph, fmt, out, "reachable_states")
 
 
 @main.command()
@@ -146,12 +145,7 @@ def pairs(model_g, model_h, depth, fmt, out, verbose):
     graph = reachability.enumerate_pairs(g, h, depth)
     if verbose:
         click.echo(f"{len(graph.nodes)} distinct pair(s)", err=True)
-    if fmt == "json":
-        emit_json(_graph_json(graph), out)
-    elif fmt == "dot":
-        emit(reachability.graph_to_dot(graph, title="reachable_pairs"), out)
-    else:
-        emit(_graph_text(graph), out)
+    _graph_out(graph, fmt, out, "reachable_pairs")
 
 
 def _tree_text(node, indent=0, via=None) -> list:
@@ -225,17 +219,11 @@ def _load_attrs(attrs_path: Optional[str], inline: Optional[EventAttributes], al
 
 
 def _report_out(report, fmt, out, first_failure):
+    shown = report.through_first_failure() if first_failure else report
     if fmt == "json":
-        doc = report.to_dict()
-        if first_failure:
-            rows = doc["rows"]
-            for i, row in enumerate(rows):
-                if not row["verdict"]:
-                    doc["rows"] = rows[: i + 1]
-                    break
-        emit_json(doc, out)
+        emit_json(shown.to_dict(), out)
     else:
-        emit(report.render_text(first_failure=first_failure), out)
+        emit(shown.render_text(), out)
     sys.exit(0 if report.overall else 1)
 
 

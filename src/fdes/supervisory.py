@@ -20,23 +20,29 @@ synthesized supervisor realizes
 
 lazily from its source models; explicit supervisors carry a finite table
 with a default.  For a max-min automaton spec, S̃(s)(σ) too depends on s
-only through its pair class, so the synthesized supervisor's rows and the
-exact admissibility check read it off the reachable pair graph, and walks
-over strings carry the plant's fuzzy state instead of replaying s from q̃0.
+only through its pair class.
+
+The conditions are evaluated on three finite string domains, each with one
+walker: the reachable pair classes (`_pair_successors`), pr(K̃)'s support
+(`_support_walk`) and all strings of length ≤ n (`_strings`).  The last two
+step each string's plant, spec and supervisor state from its parent's
+(`_state_walk`, `_spec_reader`, `_follower`), so none replays from q̃0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import lru_cache, partial
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import automaton as fa
 from . import language as fl
 from . import reachability
-from .algebra import ZERO, ONE, Semantics, format_degree, max_element, inner_sup, parse_degree
+from .algebra import ONE, ZERO, Semantics, format_degree, format_table, max_element, parse_degree
 from .automaton import EventString, FuzzyAutomaton, string_to_text
-from .errors import AlphabetMismatch, NotCrisp, SemanticsMismatch, StringNotInLanguage
+from .errors import AlphabetMismatch, NotCrisp, ParseError, SemanticsMismatch, StringNotInLanguage
 from .language import FiniteSupportFuzzyLanguage
 
 
@@ -82,6 +88,9 @@ class ReportRow:
 
 
 REPORT_HEADERS = ("s", "ev", "prK(s)", "LG(s.ev)", "uc(ev)", "lhs", "prK(s.ev)", "ok")
+# the ReportRow degrees, in column order; their JSON keys are these names
+DEGREE_FIELDS = ("prK_s", "LG_s_sigma", "sigma_uc", "lhs", "prK_s_sigma")
+_row_degrees = attrgetter(*DEGREE_FIELDS)
 
 
 @dataclass
@@ -92,35 +101,25 @@ class ControllabilityReport:
     warnings: List[str] = field(default_factory=list)
     n: Optional[int] = None
 
+    def through_first_failure(self) -> "ControllabilityReport":
+        """This report with its rows cut after the first failing row."""
+        cut = next((i + 1 for i, r in enumerate(self.rows) if not r.verdict), len(self.rows))
+        return replace(self, rows=self.rows[:cut])
+
     def render_text(self, first_failure: bool = False) -> str:
-        rows = self.rows
         if first_failure:
-            for i, row in enumerate(rows):
-                if not row.verdict:
-                    rows = rows[: i + 1]
-                    break
-        cells = [REPORT_HEADERS]
-        for r in rows:
-            cells.append(
-                (
-                    string_to_text(r.representative),
-                    r.event,
-                    format_degree(r.prK_s),
-                    format_degree(r.LG_s_sigma),
-                    format_degree(r.sigma_uc),
-                    format_degree(r.lhs),
-                    format_degree(r.prK_s_sigma),
-                    "T" if r.verdict else "F",
-                )
-            )
-        widths = [max(len(row[c]) for row in cells) for c in range(len(REPORT_HEADERS))]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+            return self.through_first_failure().render_text()
+        lines = format_table([REPORT_HEADERS] + [
+            (string_to_text(r.representative), r.event, *map(format_degree, _row_degrees(r)), "T" if r.verdict else "F")
+            for r in self.rows
+        ])
         lines.append(f"overall: {'T' if self.overall else 'F'}")
         for w in self.warnings:
             lines.append(f"warning: {w}")
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
+        keys = ("s", "event", *DEGREE_FIELDS, "verdict")
         return {
             "schema_version": "1",
             "kind": "controllability-report",
@@ -128,16 +127,12 @@ class ControllabilityReport:
             "n": self.n,
             "warnings": list(self.warnings),
             "rows": [
-                {
-                    "s": string_to_text(r.representative) if r.representative else "",
-                    "event": r.event,
-                    "prK_s": format_degree(r.prK_s),
-                    "LG_s_sigma": format_degree(r.LG_s_sigma),
-                    "sigma_uc": format_degree(r.sigma_uc),
-                    "lhs": format_degree(r.lhs),
-                    "prK_s_sigma": format_degree(r.prK_s_sigma),
-                    "verdict": r.verdict,
-                }
+                dict(zip(keys, (
+                    string_to_text(r.representative) if r.representative else "",
+                    r.event,
+                    *map(format_degree, _row_degrees(r)),
+                    r.verdict,
+                )))
                 for r in self.rows
             ],
         }
@@ -171,6 +166,62 @@ def _pair_successors(pairs: reachability.ReachableStateGraph, attrs: EventAttrib
     for i, s in pairs.witness.items():
         for sigma, uc_sigma in uc:
             yield i, s, sigma, uc_sigma, pairs.edges[(i, sigma)]
+
+
+def _support_walk(prk: FiniteSupportFuzzyLanguage, start, step: Callable) -> Iterator[Tuple[EventString, object]]:
+    """(s, v) for each string s of pr(K̃)'s support in (length, lex) order,
+    where v is one step(v, σ) from the state of s's parent: the support is
+    prefix-closed and sorted by length, so the parent came first."""
+    states = {}
+    for s in prk.support():
+        states[s] = v = step(states[s[:-1]], s[-1]) if s else start
+        yield s, v
+
+
+def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iterator[Tuple[EventString, object]]:
+    """(s, state) for every string s of length ≤ depth, level by level with
+    events in alphabet order; step(state, s, σ) gives the state of s·σ from
+    that of s.  One level is held for the next, and the last one not at all."""
+    level = [((), start)]
+    yield level[0]
+    for length in range(1, depth + 1):
+        parents, level = level, []
+        for s, state in parents:
+            for sigma in alphabet:
+                child = (s + (sigma,), step(state, s, sigma))
+                yield child
+                if length < depth:
+                    level.append(child)
+
+
+def _require_bound(name: str, bound: Optional[int]) -> None:
+    """A string-length bound from the caller must not be negative."""
+    if bound is not None and bound < 0:
+        raise ParseError(f"{name} must be ≥ 0")
+
+
+def _state_walk(g: FuzzyAutomaton) -> Tuple[tuple, Callable, Callable, Callable]:
+    """How a walk over strings carries g's fuzzy state: (start, step, top,
+    marked), where step(v, σ) is the next state, and top(v) and marked(v)
+    are L_G̃ and L_G̃,m of the strings that reach v, marked memoized as walks
+    meet states again.  Max-min automata are walked in rank space
+    (`FuzzyAutomaton.ranks`), so no step encodes or decodes."""
+    if g.semantics is Semantics.MAX_MIN:
+        table = g.ranks()
+        values = table.values
+        start, step, top, vector = table.initial, table.step, lambda r: values[max(r)], table.decode
+    else:
+        start, step, top, vector = g.initial, partial(fa.step, g), max_element, lambda v: v
+    return start, step, top, lru_cache(maxsize=None)(lambda v: fa.marked_at(g, vector(v)))
+
+
+def _spec_reader(spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> Tuple[object, Callable, Callable]:
+    """How a walk over strings reads pr(K̃) off a specification: (start,
+    step, prk) as in `_state_walk`, where prk(w) is pr(K̃)(s).  An automaton
+    spec is walked by its fuzzy state, a language spec by the string itself."""
+    if isinstance(spec, FuzzyAutomaton):
+        return _state_walk(spec)[:3]
+    return (), lambda s, sigma: s + (sigma,), fl.prefix_closure(spec)
 
 
 def check_controllability(
@@ -222,27 +273,17 @@ def check_language_controllability(
         )
     attrs.require_alphabet(g.alphabet)
     prk = fl.prefix_closure(k)
+    start, step, top, _ = _state_walk(g)
     rows: List[ReportRow] = []
     warnings: List[str] = []
-    for s in prk.support():
-        v = fa.run(g, s)
-        lg_s = max_element(v)
-        if prk(s) > lg_s and not warnings:
+    for s, v in _support_walk(prk, start, step):
+        if prk(s) > top(v) and not warnings:
             warnings.append(
                 f"pr(K) is not contained in L(G): at {string_to_text(s)} "
-                f"pr(K)={format_degree(prk(s))} > L(G)={format_degree(lg_s)}"
+                f"pr(K)={format_degree(prk(s))} > L(G)={format_degree(top(v))}"
             )
         for sigma in g.alphabet:
-            rows.append(
-                _make_row(
-                    s,
-                    sigma,
-                    prk(s),
-                    max_element(fa.step(g, v, sigma)),
-                    attrs.uc(sigma),
-                    prk(s + (sigma,)),
-                )
-            )
+            rows.append(_make_row(s, sigma, prk(s), top(step(v, sigma)), attrs.uc(sigma), prk(s + (sigma,))))
     return _finish(rows, warnings)
 
 
@@ -258,38 +299,30 @@ def check_n_controllability(
     Enumerates the full string tree — (Σ_{i=0..n} |Σ|^i)·|Σ| rows — and
     reports progress through the optional callback.
     """
-    if n < 0:
-        raise ValueError("n must be ≥ 0")
+    _require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
-    spec_is_automaton = isinstance(spec, FuzzyAutomaton)
-    if spec_is_automaton:
+    if isinstance(spec, FuzzyAutomaton):
         fa.require_same_alphabet(g, spec)
         if spec.semantics is not g.semantics:
             raise SemanticsMismatch("plant and specification must share semantics")
-    else:
-        if set(spec.alphabet) != set(g.alphabet):
-            raise AlphabetMismatch("language alphabet differs from the plant's")
-        prk = fl.prefix_closure(spec)
+    elif set(spec.alphabet) != set(g.alphabet):
+        raise AlphabetMismatch("language alphabet differs from the plant's")
+    g_start, g_step, lg, _ = _state_walk(g)
+    k_start, k_step, prk = _spec_reader(spec)
+
+    # the state of t = s·σ: (plant, spec, pr(K̃)(t), the row of (s, σ)), so the walk goes to n + 1
+    def grow(state, s, sigma):
+        v, w, prk_s, _ = state
+        v, w = g_step(v, sigma), k_step(w, sigma)
+        prk_t = prk(w)
+        return v, w, prk_t, _make_row(s, sigma, prk_s, lg(v), attrs.uc(sigma), prk_t)
+
     rows: List[ReportRow] = []
-    level: List[Tuple[EventString, tuple, Optional[tuple]]] = [
-        ((), g.initial, spec.initial if spec_is_automaton else None)
-    ]
-    for _ in range(n + 1):
-        next_level = []
-        for s, vg, vh in level:
-            prK_s = max_element(vh) if spec_is_automaton else prk(s)
-            for sigma in g.alphabet:
-                vg2 = fa.step(g, vg, sigma)
-                vh2 = fa.step(spec, vh, sigma) if spec_is_automaton else None
-                prK_s2 = max_element(vh2) if spec_is_automaton else prk(s + (sigma,))
-                rows.append(
-                    _make_row(s, sigma, prK_s, max_element(vg2), attrs.uc(sigma), prK_s2)
-                )
-                next_level.append((s + (sigma,), vg2, vh2))
-            if progress is not None:
+    for t, (*_, row) in _strings(n + 1, g.alphabet, (g_start, k_start, prk(k_start), None), grow):
+        if t:
+            rows.append(row)
+            if progress is not None and len(rows) % len(g.alphabet) == 0:
                 progress(len(rows))
-        level = next_level
-    # the last level's strings were row subjects already; their successors are beyond n
     return _finish(rows, [], n)
 
 
@@ -299,14 +332,12 @@ def check_sufficient_condition(
     """K̃(s·σ) ≥ min(Σ̃uc(σ), L_G̃(s·σ)) on pr(K̃)'s support — a stronger,
     cheaper condition that implies controllability."""
     attrs.require_alphabet(g.alphabet)
-    prk = fl.prefix_closure(k)
-    for s in prk.support():
-        v = fa.run(g, s)
-        for sigma in g.alphabet:
-            bound = min(attrs.uc(sigma), max_element(fa.step(g, v, sigma)))
-            if k(s + (sigma,)) < bound:
-                return False
-    return True
+    start, step, top, _ = _state_walk(g)
+    return all(
+        k(s + (sigma,)) >= min(attrs.uc(sigma), top(step(v, sigma)))
+        for s, v in _support_walk(fl.prefix_closure(k), start, step)
+        for sigma in g.alphabet
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +361,24 @@ class SynthesizedSupervisor:
     def __post_init__(self):
         if (self.spec_automaton is None) == (self.spec_language is None):
             raise ValueError("exactly one of spec_automaton / spec_language required")
-        if self.spec_language is not None:
-            self._prk = fl.prefix_closure(self.spec_language)
+        # (start, step, prk) for reading pr(K̃) along a walk; see _spec_reader
+        self._spec = _spec_reader(self.spec_language if self.spec_automaton is None else self.spec_automaton)
 
     @property
     def alphabet(self) -> Tuple[str, ...]:
         return self.plant.alphabet
 
     def prk_degree(self, s: EventString) -> Fraction:
-        if self.spec_automaton is not None:
-            return fa.generated_degree(self.spec_automaton, s)
-        return self._prk(s)
+        w, step, prk = self._spec
+        for sigma in s:
+            w = step(w, sigma)
+        return prk(w)
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
         s_sigma = tuple(s) + (sigma,)
         return _enablement(
             self.attrs.uc(sigma), fa.generated_degree(self.plant, s_sigma), self.prk_degree(s_sigma)
         )
-
-    def enablement(self, s: EventString) -> Dict[str, Fraction]:
-        return {sigma: self.enablement_degree(s, sigma) for sigma in self.alphabet}
 
     def pair_graph(self) -> reachability.ReachableStateGraph:
         """The reachable (plant, spec) pair graph (max-min automaton spec)."""
@@ -367,7 +396,13 @@ class SynthesizedSupervisor:
                 rows[s][sigma] = _enablement(uc_sigma, lg[j], prk[j])
             return list(rows.items())
         if self.spec_language is not None:
-            return [(s, self.enablement(s)) for s in self._prk.support()]
+            _, _, prk = self._spec
+            start, step, top, _ = _state_walk(self.plant)
+            return [
+                (s, {sigma: _enablement(self.attrs.uc(sigma), top(step(v, sigma)), prk(s + (sigma,)))
+                     for sigma in self.alphabet})
+                for s, v in _support_walk(prk, start, step)
+            ]
         raise SemanticsMismatch("no finite representative table for a max-product pair")
 
 
@@ -389,9 +424,6 @@ class ExplicitSupervisor:
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
         return self.table.get(tuple(s), {}).get(sigma, self.default)
-
-    def enablement(self, s: EventString) -> Dict[str, Fraction]:
-        return {sigma: self.enablement_degree(s, sigma) for sigma in self.alphabet}
 
 
 Supervisor = Union[SynthesizedSupervisor, ExplicitSupervisor]
@@ -425,41 +457,25 @@ def _supervises(sup: Supervisor, g: FuzzyAutomaton) -> bool:
     )
 
 
-def _state_walk(g: FuzzyAutomaton) -> Tuple[tuple, Callable, Callable, Callable]:
-    """How a walk over strings carries g's fuzzy state: (start, step, top,
-    vector), where step(v, σ) is the next state, top(v) its generated degree
-    and vector(v) its Fraction vector.  Max-min automata are walked in rank
-    space (`FuzzyAutomaton.ranks`), so no step encodes or decodes."""
-    if g.semantics is Semantics.MAX_MIN:
-        table = g.ranks()
-        values = table.values
-        return table.initial, table.step, lambda r: values[max(r)], table.decode
-    return g.initial, lambda v, sigma: fa.step(g, v, sigma), max_element, lambda v: v
-
-
-_Follow = Callable[[object, EventString, str, Fraction], Tuple[Fraction, object]]
-
-
-def _follower(sup: Supervisor, g: FuzzyAutomaton) -> Tuple[object, _Follow]:
+def _follower(
+    sup: Supervisor, g: FuzzyAutomaton
+) -> Tuple[object, Callable[[object, EventString, str, Fraction], Tuple[Fraction, object]]]:
     """How a walk over g's strings reads S̃(s)(σ): (start, follow), where
     follow(state, s, σ, lg) gives S̃(s)(σ) and the next walk state, and lg is
     L_G̃(s·σ), which the walk has from g's fuzzy state.
 
-    A synthesized supervisor of g uses that lg and carries its spec
-    automaton's fuzzy state as the walk state; any other supervisor is asked
-    directly, which for a synthesized one replays s·σ from q̃0.
+    A synthesized supervisor of g uses that lg and carries its spec's walk
+    state (`_spec_reader`); any other supervisor is asked directly, which for
+    a synthesized one replays s·σ from q̃0.
     """
     if not _supervises(sup, g):
         return None, lambda state, s, sigma, lg: (sup.enablement_degree(s, sigma), None)
     uc = sup.attrs.uc
-    if sup.spec_automaton is None:
-        prk = sup._prk
-        return None, lambda state, s, sigma, lg: (_enablement(uc(sigma), lg, prk(s + (sigma,))), None)
-    start, step, top, _ = _state_walk(sup.spec_automaton)
+    start, step, prk = sup._spec
 
     def follow(w, s, sigma, lg):
         w = step(w, sigma)
-        return _enablement(uc(sigma), lg, top(w)), w
+        return _enablement(uc(sigma), lg, prk(w)), w
 
     return start, follow
 
@@ -501,6 +517,7 @@ def check_admissibility(
     another plant, one pair class of g can hold strings the supervisor
     treats differently, so the pair classes are not exact there.
     """
+    _require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
     exact = (
         n is None
@@ -509,36 +526,32 @@ def check_admissibility(
         and g.semantics is Semantics.MAX_MIN
         and sup.spec_automaton.semantics is Semantics.MAX_MIN
     )
+    # (s, σ, required, provided) for each (s, σ) of the domain, in order
     if exact:
         domain = "exact (reachable pair classes)"
         pairs = sup.pair_graph()
         lg, prk = _node_degrees(pairs)
-        for i, s, sigma, sup_uc, j in _pair_successors(pairs, sup.attrs):
-            required = min(attrs.uc(sigma), lg[j])
-            provided = _enablement(sup_uc, lg[j], prk[j])
-            if required > provided:
-                return AdmissibilityResult(False, (s, sigma, required, provided), domain)
-        return AdmissibilityResult(True, None, domain)
+        checks = (
+            (s, sigma, min(attrs.uc(sigma), lg[j]), _enablement(sup_uc, lg[j], prk[j]))
+            for i, s, sigma, sup_uc, j in _pair_successors(pairs, sup.attrs)
+        )
+    else:
+        bound = 6 if n is None else n
+        domain = f"strings of length ≤ {bound}"
+        start, follow = _follower(sup, g)
+        v0, step, top, _ = _state_walk(g)
 
-    bound = 6 if n is None else n
-    domain = f"strings of length ≤ {bound}"
-    start, follow = _follower(sup, g)
-    v0, step, top, _ = _state_walk(g)
-    level: List[Tuple[EventString, tuple, object]] = [((), v0, start)]
-    for length in range(bound + 1):
-        next_level = []
-        for s, v, state in level:
-            for sigma in g.alphabet:
-                v2 = step(v, sigma)
-                lg = top(v2)
-                provided, state2 = follow(state, s, sigma, lg)
-                required = min(attrs.uc(sigma), lg)
-                if required > provided:
-                    return AdmissibilityResult(False, (s, sigma, required, provided), domain)
-                if length < bound:
-                    next_level.append((s + (sigma,), v2, state2))
-        level = next_level
-    return AdmissibilityResult(True, None, domain)
+        def grow(state, s, sigma):
+            v, w, _ = state
+            v = step(v, sigma)
+            lg = top(v)
+            provided, w = follow(w, s, sigma, lg)
+            return v, w, (s, sigma, min(attrs.uc(sigma), lg), provided)
+
+        # (s, σ) is checked at the string s·σ, one longer than s
+        checks = (c for t, (_, _, c) in _strings(bound + 1, g.alphabet, (v0, start, None), grow) if t)
+    violation = next((c for c in checks if c[2] > c[3]), None)
+    return AdmissibilityResult(violation is None, violation, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -612,26 +625,27 @@ def check_nonblocking(
     The hypotheses K̃(ε) = 1 and pr(K̃) ⊆ L_{G̃,m} are diagnosed as warnings,
     not failures: the verdicts below are computed regardless.
     """
+    _require_bound("depth", depth)
     attrs.require_alphabet(g.alphabet)
     prk = fl.prefix_closure(k)
     warnings: List[str] = []
     if k(()) != ONE:
         warnings.append(f"K(ε) = {format_degree(k(()))}, expected 1")
-    for t in prk.support():
-        lm = fa.marked_degree(g, t)
-        if prk(t) > lm:
+    v0, step, top, marked = _state_walk(g)
+
+    # one pass over pr(K)'s support for the hypothesis pr(K) ⊆ L(G,m) and
+    # (a)  K = pr(K) ∩ L(G,m), trivially 0 = 0 outside pr(K)'s support
+    contained, condition_a, a_witness = True, True, None
+    for t, v in _support_walk(prk, v0, step):
+        lm = marked(v)
+        if contained and prk(t) > lm:
+            contained = False
             warnings.append(
                 f"pr(K) is not contained in L(G,m): at {string_to_text(t)} "
                 f"pr(K)={format_degree(prk(t))} > L(G,m)={format_degree(lm)}"
             )
-            break
-
-    # (a)  K = pr(K) ∩ L(G,m), trivially 0 = 0 outside pr(K)'s support
-    condition_a, a_witness = True, None
-    for t in prk.support():
-        if k(t) != min(prk(t), fa.marked_degree(g, t)):
+        if condition_a and k(t) != min(prk(t), lm):
             condition_a, a_witness = False, t
-            break
 
     # (b)  the controllability condition for K against L(G)
     report_b = check_language_controllability(g, k, attrs)
@@ -639,38 +653,25 @@ def check_nonblocking(
     # direct bounded comparison for the supervisor actually given
     if depth is None:
         depth = max((len(t) for t in prk.support()), default=0) + 2
-    gen: Dict[EventString, Fraction] = {}
-    marked: Dict[EventString, Fraction] = {}
     start, follow = _follower(sup, g)
-    v0, step, top, vector = _state_walk(g)
-    plant_marked: Dict[tuple, Fraction] = {}  # L_G̃,m per plant state met
-    level = [((), v0, ONE, start)]
-    for _ in range(depth + 1):
-        next_level = []
-        for s, v, degree, state in level:
-            gen[s] = degree
-            if v not in plant_marked:
-                q = vector(v)
-                plant_marked[v] = max(inner_sup(q, m, g.semantics) for m in g.marked) if g.marked else ZERO
-            marked[s] = min(degree, plant_marked[v])
-            if len(s) < depth:
-                for sigma in g.alphabet:
-                    v2 = step(v, sigma)
-                    lg = top(v2)
-                    enabled, state2 = follow(state, s, sigma, lg)
-                    next_level.append((s + (sigma,), v2, min(degree, lg, enabled), state2))
-        level = next_level
-    pr_marked: Dict[EventString, Fraction] = dict(marked)
+
+    def grow(state, s, sigma):
+        v, degree, w = state
+        v = step(v, sigma)
+        lg = top(v)
+        enabled, w = follow(w, s, sigma, lg)
+        return v, min(degree, lg, enabled), w
+
+    gen: Dict[EventString, Fraction] = {}
+    pr_marked: Dict[EventString, Fraction] = {}
+    for s, (v, degree, _) in _strings(depth, g.alphabet, (v0, ONE, start), grow):
+        gen[s] = degree
+        pr_marked[s] = min(degree, marked(v))
     for s in sorted(gen, key=len, reverse=True):
-        if s:
-            parent = s[:-1]
-            if pr_marked[s] > pr_marked[parent]:
-                pr_marked[parent] = pr_marked[s]
-    direct_ok, direct_witness = True, None
-    for s in sorted(gen, key=lambda t: (len(t), t)):
-        if pr_marked[s] != gen[s]:
-            direct_ok, direct_witness = False, s
-            break
+        if s and pr_marked[s] > pr_marked[s[:-1]]:
+            pr_marked[s[:-1]] = pr_marked[s]
+    direct_witness = next((s for s in sorted(gen, key=lambda t: (len(t), t)) if pr_marked[s] != gen[s]), None)
+    direct_ok = direct_witness is None
 
     return NonblockingReport(
         condition_a=condition_a,

@@ -331,6 +331,84 @@ def admissibility_by_replay(sup, g, attrs, n):
     return True, None
 
 
+# --- supervisory conditions by plain Fraction replay ----------------------------
+
+def fraction_run(g, s):
+    """q0 * s, folded from the initial vector with the Fraction max-min kernel
+    or, for max-product, plain nested max/product loops."""
+    q = g.initial
+    for e in s:
+        m = g.matrix(e)
+        if g.semantics is Semantics.MAX_MIN:
+            q = maxmin_apply(q, m)
+        else:
+            q = tuple(max(q[i] * m[i][j] for i in range(len(q))) for j in range(len(q)))
+    return q
+
+
+def replay_generated(g, s):
+    return max(fraction_run(g, s))
+
+
+def replay_marked(g, s):
+    q = fraction_run(g, s)
+    meet = min if g.semantics is Semantics.MAX_MIN else (lambda a, b: a * b)
+    return max((max(meet(a, b) for a, b in zip(q, m)) for m in g.marked), default=ZERO)
+
+
+def prefix_degree(k, s):
+    """pr(K)(s): the largest degree of a member of K that extends s."""
+    s = tuple(s)
+    return max((d for t, d in k.degrees.items() if t[: len(s)] == s), default=ZERO)
+
+
+def prefix_support(k):
+    """The strings with pr(K)(s) > 0, in (length, lex) order."""
+    return sorted(prefixes(k.degrees), key=lambda t: (len(t), t))
+
+
+def check_rows_by_replay(g, spec, attrs, strings):
+    """(s, σ, pr(K)(s), L_G(s·σ), uc(σ), pr(K)(s·σ)) for each s of `strings`
+    and each σ in alphabet order; spec is an automaton generating pr(K) or a
+    language K."""
+    def prk(s):
+        return replay_generated(spec, s) if isinstance(spec, FuzzyAutomaton) else prefix_degree(spec, s)
+
+    return [
+        (s, e, prk(s), replay_generated(g, s + (e,)), attrs.uc(e), prk(s + (e,)))
+        for s in strings
+        for e in g.alphabet
+    ]
+
+
+def sufficient_by_replay(g, k, attrs):
+    """K(s·σ) >= min(uc(σ), L_G(s·σ)) for every s with pr(K)(s) > 0."""
+    return all(
+        k(s + (e,)) >= min(attrs.uc(e), replay_generated(g, s + (e,)))
+        for s in prefix_support(k)
+        for e in g.alphabet
+    )
+
+
+def language_rows_by_replay(g, k, attrs):
+    """The constructive supervisor's rows for a language spec: for each s with
+    pr(K)(s) > 0, S(s)(σ) = min(uc, L_G(s·σ)) if uc >= pr(K)(s·σ), else pr(K)(s·σ)."""
+    def enable(s, e):
+        uc, prk = attrs.uc(e), prefix_degree(k, s + (e,))
+        return min(uc, replay_generated(g, s + (e,))) if uc >= prk else prk
+
+    return [(s, {e: enable(s, e) for e in g.alphabet}) for s in prefix_support(k)]
+
+
+def nonblocking_conditions_by_replay(g, k):
+    """(first s with pr(K)(s) > L_G,m(s) or None, first s with
+    K(s) != min(pr(K)(s), L_G,m(s)) or None), over pr(K)'s support."""
+    support = prefix_support(k)
+    over = next((s for s in support if prefix_degree(k, s) > replay_marked(g, s)), None)
+    a_fail = next((s for s in support if k(s) != min(prefix_degree(k, s), replay_marked(g, s))), None)
+    return over, a_fail
+
+
 # --- crisp synchronous product (pair transitions, no tensor algebra) -----------
 
 def crisp_parallel_reference(g1: FuzzyAutomaton, g2: FuzzyAutomaton) -> FuzzyAutomaton:

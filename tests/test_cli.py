@@ -188,6 +188,13 @@ def test_negative_depth_is_a_parse_error():
     )
     assert res.returncode == 2
     assert "depth must be ≥ 0" in res.stderr
+    res = fdes(
+        "check-n", path("maxmin_plant_2state.json"), path("maxmin_spec_2state.json"),
+        "--attrs", path("attrs_2state.json"), "--", "-1",
+    )
+    assert res.returncode == 2
+    assert "n must be ≥ 0" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_check_n_exit_codes():

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 import fdes.automaton
-from fdes.algebra import ONE, ZERO, max_element
-from fdes.automaton import FuzzyAutomaton, generated_degree, run, step
-from fdes.errors import AlphabetMismatch, SemanticsMismatch, StringNotInLanguage, UnknownEvent
+from fdes.algebra import ONE, ZERO, Semantics, max_element
+from fdes.automaton import FuzzyAutomaton, generated_degree, run, step, string_to_text
+from fdes.errors import AlphabetMismatch, ParseError, SemanticsMismatch, StringNotInLanguage, UnknownEvent
 from fdes.language import FiniteSupportFuzzyLanguage, prefix_closure
 from fdes.supervisory import (
     REPORT_HEADERS,
@@ -299,11 +299,13 @@ def test_admissibility_for_another_plant_is_not_exact():
 
 
 def random_plant_like(rng, g):
-    """Another max-min plant over g's alphabet, with one marked state."""
+    """Another plant over g's alphabet with g's semantics, with one marked state."""
     n = rng.randint(1, 3)
     grid = lambda: tuple(tuple(rng.choice(oracles.HALF_STEPS) for _ in range(n)) for _ in range(n))
     row = lambda: tuple(rng.choice(oracles.HALF_STEPS) for _ in range(n))
-    return FuzzyAutomaton(tuple(f"p{i}" for i in range(n)), {e: grid() for e in g.alphabet}, row(), (row(),))
+    return FuzzyAutomaton(
+        tuple(f"p{i}" for i in range(n)), {e: grid() for e in g.alphabet}, row(), (row(),), g.semantics
+    )
 
 
 def random_supervised_instances(seed, count):
@@ -369,6 +371,77 @@ def test_supervised_walks_equal_their_replay_definition_random():
     assert outcomes == {True, False}
 
 
+def report_rows(report):
+    return [(r.representative, r.event, r.prK_s, r.LG_s_sigma, r.sigma_uc, r.prK_s_sigma) for r in report.rows]
+
+
+def test_support_walks_equal_their_replay_definition_random():
+    """The paths over pr(K)'s support (language check, sufficient condition,
+    language-spec rows, nonblocking conditions) on max-min and max-product
+    plants, against plain Fraction replays from the initial vector."""
+    outcomes = set()
+    for semantics in (Semantics.MAX_MIN, Semantics.MAX_PRODUCT):
+        rng = random.Random(61)
+        for i in range(30):
+            g = oracles.random_automaton(rng, semantics=semantics, marked=True)
+            k = oracles.random_language(rng, g.alphabet, max_len=3, max_support=8)
+            if i % 2:  # K = pr(K) ∩ L(G,m) holds for this K, so condition (a) passes
+                k = k.with_degrees(
+                    {t: min(oracles.prefix_degree(k, t), oracles.replay_marked(g, t)) for t in oracles.prefix_support(k)}
+                )
+            # all-zero uc passes the sufficient condition
+            attrs = oracles.random_attrs(rng, g.alphabet, palette=(ZERO,) if i % 3 == 0 else oracles.HALF_STEPS)
+            expected = oracles.check_rows_by_replay(g, k, attrs, oracles.prefix_support(k))
+            report = check_language_controllability(g, k, attrs)
+            assert report_rows(report) == expected
+            over = next((s for s, e, prk, *_ in expected if prk > oracles.replay_generated(g, s)), None)
+            assert len(report.warnings) == (over is not None)
+            if over is not None:
+                assert f"at {string_to_text(over)} " in report.warnings[0]
+            sufficient = check_sufficient_condition(g, k, attrs)
+            assert sufficient == oracles.sufficient_by_replay(g, k, attrs)
+            sup = synthesize_supervisor(g, k, attrs)
+            assert sup.rows() == oracles.language_rows_by_replay(g, k, attrs)
+            nb = check_nonblocking(sup, g, k, attrs, depth=3)
+            over_m, a_fail = oracles.nonblocking_conditions_by_replay(g, k)
+            assert (nb.condition_a, nb.condition_a_witness) == (a_fail is None, a_fail)
+            assert nb.condition_b == all(min(p, uc, lg) <= p2 for _, _, p, lg, uc, p2 in expected)
+            contained = [w for w in nb.warnings if "L(G,m)" in w]
+            assert len(contained) == (over_m is not None)
+            if over_m is not None:
+                assert f"at {string_to_text(over_m)} " in contained[0]
+            assert (nb.direct_ok, nb.direct_witness) == oracles.direct_nonblocking_by_replay(sup, g, 3)
+            outcomes.update([(semantics, "sufficient", sufficient), (semantics, "a", a_fail is None)])
+    assert len(outcomes) == 8  # both verdicts of both conditions under both semantics
+
+
+def test_check_n_rows_equal_fraction_replay_random():
+    """check_n_controllability walks max-min plants and specs in rank space;
+    its rows equal plain Fraction replays of every string of length <= n, for
+    automaton and language specs under both semantics."""
+    for semantics in (Semantics.MAX_MIN, Semantics.MAX_PRODUCT):
+        rng = random.Random(62)
+        for _ in range(20):
+            g = oracles.random_automaton(rng, semantics=semantics)
+            attrs = oracles.random_attrs(rng, g.alphabet)
+            for spec in (random_plant_like(rng, g), oracles.random_language(rng, g.alphabet, max_len=3)):
+                n = rng.randint(0, 3)
+                report = check_n_controllability(g, spec, attrs, n)
+                strings = oracles.strings_up_to(g.alphabet, n)
+                assert report_rows(report) == oracles.check_rows_by_replay(g, spec, attrs, strings)
+
+
+def test_negative_bounds_are_parse_errors(chain):
+    g, k, attrs, _ = chain
+    sup = synthesize_supervisor(g, k, attrs)
+    with pytest.raises(ParseError, match="n must be ≥ 0"):
+        check_n_controllability(g, k, attrs, -1)
+    with pytest.raises(ParseError, match="n must be ≥ 0"):
+        check_admissibility(sup, g, attrs, n=-1)
+    with pytest.raises(ParseError, match="depth must be ≥ 0"):
+        check_nonblocking(sup, g, k, attrs, depth=-1)
+
+
 def test_controlled_degree_rejects_undeclared_events(two_state, attrs_two_state):
     g, h = two_state
     for sup in (synthesize_supervisor(g, h, attrs_two_state), ExplicitSupervisor(g.alphabet, {})):
@@ -378,7 +451,8 @@ def test_controlled_degree_rejects_undeclared_events(two_state, attrs_two_state)
 
 def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, chain):
     """The pair-class paths read successors off the pair graph, and the walks
-    over strings read L_G from the plant state they carry."""
+    over pr(K)'s support and over strings read L_G and L_G,m from the plant
+    state they carry."""
 
     def replayed(*args):
         raise AssertionError("replayed a string from the initial state")
@@ -396,10 +470,14 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
             assert check_admissibility(sup, g, attrs_two_state).domain == "exact (reachable pair classes)"
     plant, k, attrs, _ = chain
     k_g = FiniteSupportFuzzyLanguage(g.alphabet, {(): ONE, ("a1",): F(1, 2)})
-    cases = [(sups[0], g, k_g, attrs_two_state), (synthesize_supervisor(plant, k, attrs), plant, k, attrs)]
     with monkeypatch.context() as m:
-        m.setattr(fdes.automaton, "generated_degree", replayed)
-        for sup, plant, lang, a in cases:
+        for name in ("run", "generated_degree", "marked_degree"):
+            m.setattr(fdes.automaton, name, replayed)
+        lang_sup = synthesize_supervisor(plant, k, attrs)
+        assert [s for s, _ in lang_sup.rows()] == list(prefix_closure(k).support())
+        check_sufficient_condition(plant, k, attrs)
+        for sup, plant, lang, a in [(sups[0], g, k_g, attrs_two_state), (lang_sup, plant, k, attrs)]:
+            check_language_controllability(plant, lang, a)
             check_nonblocking(sup, plant, lang, a)
             controlled_generated_degree(sup, plant, plant.alphabet * 2)
 
