@@ -4,20 +4,27 @@ A language maps event strings to degrees and is zero outside a finite
 support.  On top of the pointwise lattice (Zadeh min/max) this module
 implements prefix closure, the controllability test with respect to a
 prefix-closed bound M̃ and uncontrollability attributes, and the two
-closure operations:
+closure operations.  The controllable languages are closed under
+pointwise max and the prefix-closed controllable ones under pointwise
+min, so each family has one extreme member, and each closure computes it
+in one ordered sweep:
 
-* the supremal controllable sublanguage K̃^< — computed by *iterated
-  repair*: while some (s, σ) violates the controllability inequality,
-  cap every member of the support extending s at pr(f)(s·σ).  Every
-  controllable sublanguage survives each cap, the capped language stays
-  inside the original, and values only move down a finite value lattice,
-  so the fixpoint is exactly the supremum of the family.
-* the infimal prefix-closed controllable superlanguage K̃^> — computed by
-  *iterated raise* starting from pr(K̃): lift g(s·σ) to
-  min(g(s), Σ̃uc(σ), M̃(s·σ)) whenever that exceeds it.  Raises never
-  break prefix monotonicity (the new value is ≤ g(s)), never leave M̃,
-  and every member of the family dominates every raise, so the fixpoint
-  is exactly the infimum.
+* the supremal controllable sublanguage K̃^< — one *backward* pass over
+  pr(K̃)'s support, deepest strings first.  h(s) is the max of K̃(s) and
+  of the already final h(s·σ); if some σ violates
+  min(h(s), Σ̃uc(σ), M̃(s·σ)) ≤ h(s·σ), h(s) drops to the least such
+  h(s·σ).  Every controllable sublanguage of K̃ has its prefix closure
+  below h, because a violating σ forces pr(s) ≤ h(s·σ).  Lowering s
+  together with its subtree to the same cap creates no violation below
+  it, so the forward min of h along each string is the prefix closure of
+  a controllable language; capping K̃ by it gives the supremum.
+* the infimal prefix-closed controllable superlanguage K̃^> — one
+  *forward* pass from pr(K̃), shortest strings first and each raised
+  string queued after them: lift g(s·σ) to min(g(s), Σ̃uc(σ), M̃(s·σ))
+  whenever that exceeds it.  Only s's parent raises g(s), so g(s) is
+  final when s is taken; raises never break prefix monotonicity (the new
+  value is ≤ g(s)) and never leave M̃, and every member of the family
+  dominates every raise, so the result is exactly the infimum.
 
 All quantification "for all s ∈ Σ̃*" collapses to the finite supports:
 outside them the left side of every inequality is 0.
@@ -165,7 +172,7 @@ def is_controllable_wrt(
 def value_lattice(
     k: FiniteSupportFuzzyLanguage, m: FiniteSupportFuzzyLanguage, attrs
 ) -> Tuple[Fraction, ...]:
-    """Every value the fixpoints can produce: inputs plus the bounds 0 and 1."""
+    """Every value the closures can produce: inputs plus the bounds 0 and 1."""
     uc = _uc_map(attrs)
     values = {ZERO, ONE}
     values.update(k.degrees.values())
@@ -179,24 +186,26 @@ def supremal_controllable_sublanguage(
     m: FiniteSupportFuzzyLanguage,
     attrs,
 ) -> FiniteSupportFuzzyLanguage:
-    """K̃^<: the union of all controllable sublanguages of k (iterated repair)."""
+    """K̃^<: the union of all controllable sublanguages of k (one backward
+    pass over pr(k)'s support, then one forward pass applying the caps)."""
     _require_same_alphabet(k, m)
     if not is_prefix_closed(m):
         raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
     uc = _uc_map(attrs)
-    f = dict(k.degrees)
-    while True:
-        pr_f = prefix_closure(k.with_degrees(f))
-        witness = _violation(pr_f.degrees, k.alphabet, uc, m, pr_f)
-        if witness is None:
-            break
-        cap = witness.rhs  # pr(f)(s·σ)
-        s = witness.s
-        for t in list(f):
-            if t[: len(s)] == s and f[t] > cap:
-                f[t] = cap
-        f = {t: d for t, d in f.items() if d != ZERO}
-    return k.with_degrees(f)
+    events = [(sigma, uc.get(sigma, ZERO)) for sigma in k.alphabet]
+    bound = m.degrees.get
+    domain = sorted(prefix_closure(k).degrees, key=len)
+    # h(s): pr of the capped language below s, each string capped in turn
+    h: Dict[EventString, Fraction] = {}
+    for s in reversed(domain):
+        children = [(u, bound(s + (sigma,), ZERO), h.get(s + (sigma,), ZERO)) for sigma, u in events]
+        hs = max(k(s), *(ht for _, _, ht in children))
+        h[s] = min((ht for u, mt, ht in children if min(hs, u, mt) > ht), default=hs)
+    # pr(K̃^<)(s) is the least h on the way to s
+    pr_f: Dict[EventString, Fraction] = {}
+    for s in domain:
+        pr_f[s] = min(h[s], pr_f[s[:-1]]) if s else h[s]
+    return k.with_degrees({t: min(d, pr_f[t]) for t, d in k.degrees.items()})
 
 
 def infimal_prefix_closed_superlanguage(
@@ -205,18 +214,24 @@ def infimal_prefix_closed_superlanguage(
     attrs,
 ) -> FiniteSupportFuzzyLanguage:
     """K̃^>: the smallest prefix-closed controllable language between k and m
-    (iterated raise from pr(k))."""
+    (one forward pass from pr(k), each string after its parent)."""
     _require_same_alphabet(k, m)
     if not is_prefix_closed(m):
         raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
     if not is_sublanguage(k, m):
         raise KNotContainedInM("K̃ must be a sublanguage of M̃")
     uc = _uc_map(attrs)
+    events = [(sigma, uc.get(sigma, ZERO)) for sigma in k.alphabet]
+    bound = m.degrees.get
     g = dict(prefix_closure(k).degrees)
-    while True:
-        lang = k.with_degrees(g)
-        witness = _violation(g, k.alphabet, uc, m, lang)
-        if witness is None:
-            break
-        g[witness.s + (witness.sigma,)] = witness.lhs
+    # each string is taken after its parent, the only string that raises it
+    order = sorted(g, key=len)
+    for s in order:
+        for sigma, u in events:
+            t = s + (sigma,)
+            lhs = min(g[s], u, bound(t, ZERO))
+            if lhs > g.get(t, ZERO):
+                if t not in g:
+                    order.append(t)
+                g[t] = lhs
     return k.with_degrees(g)

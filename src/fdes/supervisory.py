@@ -215,6 +215,19 @@ def _state_walk(g: FuzzyAutomaton) -> Tuple[tuple, Callable, Callable, Callable]
     return start, step, top, lru_cache(maxsize=None)(lambda v: fa.marked_at(g, vector(v)))
 
 
+def _require_matching_spec(g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> None:
+    """A specification must share g's alphabet, and an automaton spec also
+    g's semantics."""
+    if isinstance(spec, FuzzyAutomaton):
+        fa.require_same_alphabet(g, spec)
+        if spec.semantics is not g.semantics:
+            raise SemanticsMismatch("plant and specification must share semantics")
+    elif set(spec.alphabet) != set(g.alphabet):
+        raise AlphabetMismatch(
+            f"language alphabet {sorted(spec.alphabet)} != plant alphabet {sorted(g.alphabet)}"
+        )
+
+
 def _spec_reader(spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> Tuple[object, Callable, Callable]:
     """How a walk over strings reads pr(K̃) off a specification: (start,
     step, prk) as in `_state_walk`, where prk(w) is pr(K̃)(s).  An automaton
@@ -267,10 +280,7 @@ def check_language_controllability(
 ) -> ControllabilityReport:
     """Exact check of a finite-support specification against the plant's
     generated language: outside pr(K̃)'s support the condition is 0 ≤ rhs."""
-    if set(k.alphabet) != set(g.alphabet):
-        raise AlphabetMismatch(
-            f"language alphabet {sorted(k.alphabet)} != plant alphabet {sorted(g.alphabet)}"
-        )
+    _require_matching_spec(g, k)
     attrs.require_alphabet(g.alphabet)
     prk = fl.prefix_closure(k)
     start, step, top, _ = _state_walk(g)
@@ -301,12 +311,7 @@ def check_n_controllability(
     """
     _require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
-    if isinstance(spec, FuzzyAutomaton):
-        fa.require_same_alphabet(g, spec)
-        if spec.semantics is not g.semantics:
-            raise SemanticsMismatch("plant and specification must share semantics")
-    elif set(spec.alphabet) != set(g.alphabet):
-        raise AlphabetMismatch("language alphabet differs from the plant's")
+    _require_matching_spec(g, spec)
     g_start, g_step, lg, _ = _state_walk(g)
     k_start, k_step, prk = _spec_reader(spec)
 
@@ -361,8 +366,10 @@ class SynthesizedSupervisor:
     def __post_init__(self):
         if (self.spec_automaton is None) == (self.spec_language is None):
             raise ValueError("exactly one of spec_automaton / spec_language required")
+        spec = self.spec_language if self.spec_automaton is None else self.spec_automaton
+        _require_matching_spec(self.plant, spec)
         # (start, step, prk) for reading pr(K̃) along a walk; see _spec_reader
-        self._spec = _spec_reader(self.spec_language if self.spec_automaton is None else self.spec_automaton)
+        self._spec = _spec_reader(spec)
 
     @property
     def alphabet(self) -> Tuple[str, ...]:
@@ -437,6 +444,7 @@ def synthesize_supervisor(
 ) -> SynthesizedSupervisor:
     """Build the constructive supervisor; runs the matching controllability
     check first and flags the result (synthesis itself is total)."""
+    _require_matching_spec(g, spec)
     if isinstance(spec, FuzzyAutomaton):
         if g.semantics is Semantics.MAX_MIN:
             report, pairs = _check_pair_classes(g, spec, attrs)

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: set-based crisp controllability,
 exhaustive candidate search over a finite value lattice, plain nested loops.
 The point is to have independently-written baselines to compare the library
-against, so nothing below imports from fdes beyond the data containers and
+against, so nothing below imports from fdes beyond the data containers,
 the Fraction max-min kernel `maxmin_apply`, which the rank-space paths of
-the library are checked against.
+the library are checked against, and the controllability witness finder
+`_violation`, which the iterated closures rescan with after every fix.
 """
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from fdes.automaton import FuzzyAutomaton
 from fdes.errors import NotCrisp
 from fdes.language import (
     FiniteSupportFuzzyLanguage,
+    _violation,
     fuzzy_and,
     fuzzy_or,
     infimal_prefix_closed_superlanguage,
@@ -113,6 +115,43 @@ def brute_infimal(k, m, attrs, values=SMALL_LATTICE):
     if best is None:
         return None
     return FiniteSupportFuzzyLanguage(k.alphabet, best)
+
+
+# --- iterated closures: rescan from the empty string after every fix ---------
+
+def iterated_supremal(k, m, attrs):
+    """K̃^< by iterated repair: while some (s, σ) violates the
+    controllability inequality, cap every member of the support extending
+    s at pr(f)(s·σ).  m must be prefix-closed."""
+    uc = getattr(attrs, "uncontrollability", attrs)
+    f = dict(k.degrees)
+    while True:
+        pr_f = prefix_closure(k.with_degrees(f))
+        witness = _violation(pr_f.degrees, k.alphabet, uc, m, pr_f)
+        if witness is None:
+            break
+        cap = witness.rhs  # pr(f)(s·σ)
+        s = witness.s
+        for t in list(f):
+            if t[: len(s)] == s and f[t] > cap:
+                f[t] = cap
+        f = {t: d for t, d in f.items() if d != ZERO}
+    return k.with_degrees(f)
+
+
+def iterated_infimal(k, m, attrs):
+    """K̃^> by iterated raise from pr(k): lift g(s·σ) to
+    min(g(s), Σ̃uc(σ), M̃(s·σ)) at the first violation until none is left.
+    m must be prefix-closed and contain k."""
+    uc = getattr(attrs, "uncontrollability", attrs)
+    g = dict(prefix_closure(k).degrees)
+    while True:
+        lang = k.with_degrees(g)
+        witness = _violation(g, k.alphabet, uc, m, lang)
+        if witness is None:
+            break
+        g[witness.s + (witness.sigma,)] = witness.lhs
+    return k.with_degrees(g)
 
 
 # --- random instance generators ---------------------------------------------

@@ -309,3 +309,23 @@ def test_out_writes_file(tmp_path):
     assert res.returncode == 0
     assert res.stdout == ""
     assert target.read_text() == golden("reach_2state.txt")
+
+
+def test_eval_rejects_a_supervisor_of_mixed_semantics(tmp_path):
+    """A hand-edited supervisor document whose plant is max-product and
+    whose spec is max-min is refused with exit 2, as synthesis refuses it."""
+    plant = json.loads((MODELS / "maxmin_plant_2state.json").read_text())
+    doc = {
+        "schema_version": "1",
+        "kind": "supervisor",
+        "mode": "synthesized",
+        "check_passed": None,
+        "plant": dict(plant, semantics="max-product"),
+        "attributes": json.loads((MODELS / "attrs_2state.json").read_text()),
+        "spec_automaton": json.loads((MODELS / "maxmin_spec_2state.json").read_text()),
+    }
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps(doc))
+    res = fdes("eval", sup, path("maxmin_plant_2state.json"), "a1")
+    assert res.returncode == 2
+    assert "must share semantics" in res.stderr

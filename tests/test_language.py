@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from fdes import language
 from fdes.algebra import ONE, ZERO
 from fdes.automaton import generated_degree
 from fdes.errors import AlphabetMismatch, KNotContainedInM, MNotPrefixClosed
@@ -223,3 +224,100 @@ def test_closures_match_brute_force_small():
         attrs = oracles.random_attrs(rng, AB, palette=oracles.SMALL_LATTICE)
         oracles.assert_closures_match_brute_force(k, m, attrs, value_lattice(k, m, attrs))
         done += 1
+
+
+# --- the one-pass closures against the iterated ones ---------------------------------
+
+ABC = ("a", "b", "c")
+
+
+def random_closure_case(rng, max_len):
+    """(k, m, uc) over one to three events: m prefix-closed, k not always
+    inside m, and uc a plain mapping that may leave events out."""
+    alphabet = ABC[: rng.randint(1, 3)]
+    palette = rng.choice([oracles.SMALL_LATTICE, oracles.HALF_STEPS])
+    m = prefix_closure(oracles.random_language(rng, alphabet, max_len=max_len, palette=palette))
+    k = oracles.random_language(
+        rng, alphabet, max_len=rng.randint(0, max_len), palette=palette, max_support=rng.choice([None, 3, 10])
+    )
+    uc = {e: rng.choice(palette) for e in alphabet if rng.random() < 0.8}
+    return k, m, uc
+
+
+def test_closures_match_iterated_random():
+    rng = random.Random(34)
+    for _ in range(300):
+        k, m, uc = random_closure_case(rng, rng.randint(0, 4))
+        assert supremal_controllable_sublanguage(k, m, uc) == oracles.iterated_supremal(k, m, uc)
+        k = fuzzy_and(k, m)
+        assert infimal_prefix_closed_superlanguage(k, m, uc) == oracles.iterated_infimal(k, m, uc)
+
+
+@st.composite
+def closure_cases(draw):
+    """Supports up to length 5 over three events, and up to 120 strings."""
+    strings = st.lists(st.sampled_from(ABC), max_size=5).map(tuple)
+    degrees = st.sampled_from(oracles.HALF_STEPS)
+    m = prefix_closure(FiniteSupportFuzzyLanguage(ABC, draw(st.dictionaries(strings, degrees, max_size=120))))
+    k = FiniteSupportFuzzyLanguage(ABC, draw(st.dictionaries(strings, degrees, max_size=60)))
+    uc = draw(st.dictionaries(st.sampled_from(ABC), degrees))
+    return k, m, uc
+
+
+@settings(max_examples=60, deadline=None)
+@given(closure_cases())
+def test_closures_match_iterated_property(case):
+    k, m, uc = case
+    sup = supremal_controllable_sublanguage(k, m, uc)
+    assert sup == oracles.iterated_supremal(k, m, uc)
+    assert is_sublanguage(sup, k) and oracles.controllable(sup, m, uc)
+    k = fuzzy_and(k, m)
+    inf = infimal_prefix_closed_superlanguage(k, m, uc)
+    assert inf == oracles.iterated_infimal(k, m, uc)
+    assert is_prefix_closed(inf) and is_sublanguage(k, inf) and is_sublanguage(inf, m)
+    assert oracles.controllable(inf, m, uc)
+
+
+def full_depth_case(depth):
+    """m holds every string up to `depth` over three events, and k is m
+    with about a third of its strings lowered, so that both closures
+    repair or raise all over the support."""
+    rng = random.Random(35)
+    m = prefix_closure(oracles.random_language(rng, ABC, max_len=depth, palette=oracles.HALF_STEPS[1:]))
+    lowered = {s: min(d, rng.choice(oracles.HALF_STEPS[:8])) for s, d in m.degrees.items() if rng.random() >= 0.7}
+    k = m.with_degrees({**m.degrees, **lowered})
+    return k, m, {"a": F(9, 10), "b": F(3, 10), "c": ZERO}
+
+
+def count_calls(monkeypatch, closure, case):
+    """How often closure(*case) calls prefix_closure and with_degrees."""
+    calls = {"prefix_closure": 0, "with_degrees": 0}
+    prefix_closure_, with_degrees = language.prefix_closure, FiniteSupportFuzzyLanguage.with_degrees
+
+    def counted_prefix_closure(l):
+        calls["prefix_closure"] += 1
+        return prefix_closure_(l)
+
+    def counted_with_degrees(self, degrees):
+        calls["with_degrees"] += 1
+        return with_degrees(self, degrees)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(language, "prefix_closure", counted_prefix_closure)
+        patch.setattr(FiniteSupportFuzzyLanguage, "with_degrees", counted_with_degrees)
+        closure(*case)
+    return calls
+
+
+@pytest.mark.parametrize("closure, iterated", [
+    (supremal_controllable_sublanguage, oracles.iterated_supremal),
+    (infimal_prefix_closed_superlanguage, oracles.iterated_infimal),
+])
+def test_closures_do_not_rescan(monkeypatch, closure, iterated):
+    """Neither closure rebuilds a language per repair or raise: it makes as
+    many prefix_closure / with_degrees calls on a 364-string M as on a
+    13-string one, where the iterated closure makes many more."""
+    small, large = full_depth_case(2), full_depth_case(5)
+    assert count_calls(monkeypatch, closure, small) == count_calls(monkeypatch, closure, large)
+    rescans = count_calls(monkeypatch, iterated, small), count_calls(monkeypatch, iterated, large)
+    assert rescans[1]["with_degrees"] > 5 * rescans[0]["with_degrees"]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,23 @@ def test_synthesize_branches_follow_the_construction(two_state, attrs_two_state)
     # uc(a2)=0.2 >= pr(K)(a2)=0.2: enable at min(uc, L_G(s sigma))
     assert sup.enablement_degree((), "a2") == F(1, 5)
     assert sup.prk_degree(()) == F(4, 5)
+
+
+def test_supervisor_rejects_a_spec_of_other_semantics(two_state, attrs_two_state):
+    g, h = two_state
+    plant = replace(g, semantics=Semantics.MAX_PRODUCT)
+    for build in (synthesize_supervisor, lambda g, h, attrs: SynthesizedSupervisor(g, attrs, spec_automaton=h)):
+        with pytest.raises(SemanticsMismatch, match="^plant and specification must share semantics$"):
+            build(plant, h, attrs_two_state)
+
+
+def test_supervisor_rejects_a_spec_language_of_other_alphabet(chain):
+    g, _, attrs_ok, _ = chain
+    k = FiniteSupportFuzzyLanguage(("a", "b", "z"), {(): ONE, ("z",): F(1, 2)})
+    message = r"^language alphabet \['a', 'b', 'z'\] != plant alphabet \['a', 'b', 'c'\]$"
+    for build in (synthesize_supervisor, lambda g, k, attrs: SynthesizedSupervisor(g, attrs, spec_language=k)):
+        with pytest.raises(AlphabetMismatch, match=message):
+            build(g, k, attrs_ok)
 
 
 def test_controlled_language_fold(chain):
