@@ -8,6 +8,7 @@ key the deduplication sets used by reachability.  All operations are pure.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
@@ -48,6 +49,8 @@ def parse_degree(raw: Union[str, int, float, Fraction]) -> Fraction:
     elif isinstance(raw, int):
         value = Fraction(raw)
     elif isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise RangeError(f"degree {raw!r} is not a finite number")
         value = Fraction(repr(raw))
     elif isinstance(raw, str):
         try:

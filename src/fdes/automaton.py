@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from math import gcd, lcm
+from operator import mul
+from typing import Dict, Iterable, Sequence, Tuple, Union
 
 from . import algebra
 from .algebra import Semantics, ZERO, ONE
@@ -93,18 +95,35 @@ class FuzzyAutomaton:
             values.update(v)
         return values <= {ZERO, ONE}
 
-    def ranks(self) -> "RankTable":
-        """The max-min rank table, built on first use and cached.
+    def table(self) -> Union[RankTable, ScaledTable]:
+        """The step table of the automaton's semantics (a `RankTable` under
+        max-min, a `ScaledTable` under max-product), built on first use and
+        cached.
 
         The automaton is treated as immutable once built: reassigning its
         vectors or matrices afterwards leaves a stale table behind.
         """
-        table: Optional[RankTable] = self.__dict__.get("_ranks")
+        table = self.__dict__.get("_table")
         if table is None:
-            if self.semantics is not Semantics.MAX_MIN:
-                raise SemanticsMismatch("rank tables exist for max-min automata only")
-            table = self._ranks = RankTable(self)
+            kind = RankTable if self.semantics is Semantics.MAX_MIN else ScaledTable
+            table = self._table = kind(self)
         return table
+
+
+def _degrees(g: FuzzyAutomaton) -> set:
+    """The distinct degrees of g's initial vector and event matrices."""
+    degrees = set(g.initial)
+    for m in g.events.values():
+        for row in m:
+            degrees.update(row)
+    return degrees
+
+
+def _columns(table, e: str) -> tuple:
+    try:
+        return table.columns[e]
+    except KeyError:
+        raise UnknownEvent(f"event {e!r} not declared (alphabet: {list(table.columns)})") from None
 
 
 class RankTable:
@@ -120,12 +139,8 @@ class RankTable:
     __slots__ = ("values", "rank", "initial", "columns")
 
     def __init__(self, g: FuzzyAutomaton):
-        degrees = set(g.initial)
-        for m in g.events.values():
-            for row in m:
-                degrees.update(row)
         # the sorted distinct degrees; rank r stands for values[r]
-        self.values: Tuple[Fraction, ...] = tuple(sorted(degrees))
+        self.values: Tuple[Fraction, ...] = tuple(sorted(_degrees(g)))
         self.rank: Dict[Fraction, int] = {d: r for r, d in enumerate(self.values)}
         self.initial: Tuple[int, ...] = tuple(self.rank[d] for d in g.initial)
         # event -> column j as the ranks of m[l][j]
@@ -135,15 +150,66 @@ class RankTable:
 
     def step(self, r: tuple, e: str) -> tuple:
         """One max-min transition of the rank vector r."""
-        try:
-            cols = self.columns[e]
-        except KeyError:
-            raise UnknownEvent(f"event {e!r} not declared (alphabet: {list(self.columns)})") from None
-        return tuple([max(map(min, r, col)) for col in cols])
+        return tuple([max(map(min, r, col)) for col in _columns(self, e)])
+
+    def top(self, r: tuple) -> Fraction:
+        """L_G̃ of the strings that lead to r: its largest degree."""
+        return self.values[max(r)]
 
     def decode(self, r: tuple) -> tuple:
         values = self.values
         return tuple([values[x] for x in r])
+
+
+class ScaledTable:
+    """A max-product automaton on scaled integers.
+
+    Every degree of `initial` and the event matrices is a multiple of 1/D,
+    D the lcm of their denominators, so the state after a string of length
+    k is an int vector over D^(k+1).  A state is the pair (numerators,
+    denominator) with the denominator a power of D, reduced by D while every
+    numerator divides: then two states are equal exactly when the Fraction
+    vectors they stand for are, and they can key sets and dicts.
+    """
+
+    __slots__ = ("scale", "initial", "columns")
+
+    def __init__(self, g: FuzzyAutomaton):
+        scale = self.scale = lcm(*(d.denominator for d in _degrees(g)))
+
+        def scaled(d: Fraction) -> int:
+            return d.numerator * (scale // d.denominator)
+
+        self.initial: Tuple[Tuple[int, ...], int] = self._reduce(tuple(map(scaled, g.initial)), scale)
+        # event -> column j as the numerators of m[l][j] over D
+        self.columns: Dict[str, Tuple[Tuple[int, ...], ...]] = {
+            e: tuple(tuple(map(scaled, col)) for col in zip(*m)) for e, m in g.events.items()
+        }
+
+    def _reduce(self, nums: tuple, den: int) -> Tuple[tuple, int]:
+        scale, common = self.scale, gcd(*nums)
+        factor = 1
+        while den > 1 and common % scale == 0:  # a zero vector reduces to den 1
+            common //= scale
+            den //= scale
+            factor *= scale
+        if factor > 1:
+            nums = tuple([x // factor for x in nums])
+        return nums, den
+
+    def step(self, state: tuple, e: str) -> tuple:
+        """One max-product transition of the scaled state."""
+        nums, den = state
+        return self._reduce(tuple([max(map(mul, nums, col)) for col in _columns(self, e)]), den * self.scale)
+
+    def top(self, state: tuple) -> Fraction:
+        """L_G̃ of the strings that lead to the state: its largest degree."""
+        nums, den = state
+        return Fraction(max(nums), den)
+
+    def decode(self, state: tuple) -> tuple:
+        nums, den = state
+        return tuple([Fraction(x, den) for x in nums])
 
 
 def step(g: FuzzyAutomaton, q: Sequence, e: str) -> tuple:
@@ -154,7 +220,7 @@ def step(g: FuzzyAutomaton, q: Sequence, e: str) -> tuple:
     """
     if g.semantics is not Semantics.MAX_MIN:
         return algebra.maxprod_apply(q, g.matrix(e))
-    table = g.ranks()
+    table = g.table()
     cols = table.columns.get(e)
     if cols is not None and len(q) == len(cols):
         ranks = tuple(map(table.rank.get, q))

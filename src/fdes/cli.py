@@ -53,8 +53,11 @@ def guarded(fn):
 
 def emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FdesError(f"{out}: cannot write: {exc.strerror or exc}") from None
     else:
         click.echo(text, nl=False)
 
@@ -148,12 +151,14 @@ def pairs(model_g, model_h, depth, fmt, out, verbose):
     _graph_out(graph, fmt, out, "reachable_pairs")
 
 
-def _tree_text(node, indent=0, via=None) -> list:
-    prefix = "  " * indent + (f"{via} -> " if via else "")
-    mark = "  (leaf)" if node.is_leaf else ""
-    lines = [f"{prefix}{reachability.format_label(node.label)}{mark}"]
-    for child in node.children:
-        lines.extend(_tree_text(child, indent + 1, child.incoming_event))
+def _tree_text(root) -> list:
+    lines, stack = [], [(root, 0)]
+    while stack:
+        node, indent = stack.pop()
+        via = f"{node.incoming_event} -> " if node.incoming_event else ""
+        mark = "  (leaf)" if node.is_leaf else ""
+        lines.append(f"{'  ' * indent}{via}{reachability.format_label(node.label)}{mark}")
+        stack.extend((child, indent + 1) for child in reversed(node.children))
     return lines
 
 

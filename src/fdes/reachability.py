@@ -13,11 +13,12 @@ Max-min systems always close (every computed entry is drawn from the finite
 set of input values).  Max-product systems may not; they get a depth cap
 that turns possible divergence into a DepthExceeded diagnostic.
 
-The graph enumerations of max-min systems run on the automata's rank tables
-(`FuzzyAutomaton.ranks`): the BFS steps, hashes and compares tuples of int
-ranks, and the labels are decoded to Fraction vectors once, at the graph
-boundary — the finished nodes, or the open frontier of a DepthExceeded.
-Max-product systems step Fractions throughout.
+Both views run on the automata's step tables (`FuzzyAutomaton.table`):
+integer rank vectors under max-min, scaled integer vectors under
+max-product, in either case one canonical key per fuzzy state.  The BFS and
+the tree builder step, hash and compare those keys, and the labels are
+decoded to Fraction vectors once, at the boundary: the graph's nodes, the
+tree's nodes, or the open frontier of a DepthExceeded.
 """
 
 from __future__ import annotations
@@ -58,37 +59,54 @@ class ComputingTreeNode:
 
     def walk(self):
         """Yield nodes in depth-first order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
 
-def _build_tree(root_label, events: Sequence[str], step_fn, max_depth: Optional[int]):
+def _build_tree(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth: Optional[int]):
+    """Depth-first expansion, one explicit stack frame per open node; labels
+    are step_fn's keys until the finished tree (or the DepthExceeded
+    frontier) is decoded."""
     root = ComputingTreeNode(root_label)
     overflow: List[tuple] = []
-
-    def expand(node: ComputingTreeNode, ancestors: tuple, depth: int):
-        for e in events:
-            label = step_fn(node.label, e)
-            child = ComputingTreeNode(label, incoming_event=e)
-            node.children.append(child)
-            if label in ancestors or label == node.label:
-                child.is_leaf = True
-            elif max_depth is not None and depth + 1 > max_depth:
-                overflow.append(label)
-            else:
-                expand(child, ancestors + (node.label,), depth + 1)
-
-    expand(root, (), 0)
+    on_path = {root_label}  # a branch closes on a repeat, so path labels are distinct
+    stack = [(root, iter(events))]
+    while stack:
+        node, todo = stack[-1]
+        e = next(todo, None)
+        if e is None:
+            stack.pop()
+            on_path.discard(node.label)
+            continue
+        label = step_fn(node.label, e)
+        child = ComputingTreeNode(label, incoming_event=e)
+        node.children.append(child)
+        if label in on_path:
+            child.is_leaf = True
+        elif max_depth is not None and len(stack) > max_depth:
+            overflow.append(label)
+        else:
+            on_path.add(label)
+            stack.append((child, iter(events)))
     if overflow:
-        raise DepthExceeded(max_depth, overflow)
+        raise DepthExceeded(max_depth, [decode(label) for label in overflow])
+    decoded: Dict[tuple, tuple] = {}
+    for node in root.walk():
+        label = decoded.get(node.label)
+        if label is None:
+            label = decoded[node.label] = decode(node.label)
+        node.label = label
     return root
 
 
 def build_computing_tree(g: fa.FuzzyAutomaton, max_depth: Optional[int] = None) -> ComputingTreeNode:
     """Expand the tree of fuzzy states q̃0 * s, closing on ancestor repeats."""
     depth = _resolve_depth(g.semantics, max_depth)
-    return _build_tree(g.initial, g.alphabet, lambda q, e: fa.step(g, q, e), depth)
+    table = g.table()
+    return _build_tree(table.initial, g.alphabet, table.step, table.decode, depth)
 
 
 def build_pair_computing_tree(
@@ -97,12 +115,7 @@ def build_pair_computing_tree(
     """Tree over synchronized pairs (q̃0 * s, p̃0 * s) of plant and spec."""
     _require_pairable(g, h)
     depth = _resolve_depth(g.semantics, max_depth)
-    return _build_tree(
-        (g.initial, h.initial),
-        g.alphabet,
-        lambda lab, e: (fa.step(g, lab[0], e), fa.step(h, lab[1], e)),
-        depth,
-    )
+    return _build_tree(*_pair_table(g, h), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +143,7 @@ class ReachableStateGraph:
         return node
 
 
-def _bfs(
-    root_label,
-    events: Sequence[str],
-    step_fn,
-    max_depth: Optional[int],
-    decode: Optional[Callable] = None,
-) -> ReachableStateGraph:
+def _bfs(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth: Optional[int]) -> ReachableStateGraph:
     """Breadth-first enumeration; `decode` maps the labels step_fn works on
     to the labels the graph (or a DepthExceeded frontier) reports."""
     nodes: List[tuple] = [root_label]
@@ -162,21 +169,15 @@ def _bfs(
                 witness[j] = witness[i] + (e,)
                 queue.append((j, depth + 1))
             edges[(i, e)] = j
-    if decode is not None:
-        nodes = map(decode, nodes)
-        overflow = [decode(label) for label in overflow]
     if overflow:
-        raise DepthExceeded(max_depth, overflow)
-    return ReachableStateGraph(tuple(nodes), edges, witness, tuple(events))
+        raise DepthExceeded(max_depth, [decode(label) for label in overflow])
+    return ReachableStateGraph(tuple(map(decode, nodes)), edges, witness, tuple(events))
 
 
 def enumerate_states(g: fa.FuzzyAutomaton, max_depth: Optional[int] = None) -> ReachableStateGraph:
     """All distinct fuzzy states q̃0 * s, in BFS order with shortest witnesses."""
-    depth = _resolve_depth(g.semantics, max_depth)
-    if g.semantics is Semantics.MAX_MIN:
-        table = g.ranks()
-        return _bfs(table.initial, g.alphabet, table.step, depth, table.decode)
-    return _bfs(g.initial, g.alphabet, lambda q, e: fa.step(g, q, e), depth)
+    table = g.table()
+    return _bfs(table.initial, g.alphabet, table.step, table.decode, _resolve_depth(g.semantics, max_depth))
 
 
 def enumerate_pairs(
@@ -184,21 +185,17 @@ def enumerate_pairs(
 ) -> ReachableStateGraph:
     """All distinct synchronized pairs (q̃0 * s, p̃0 * s)."""
     _require_pairable(g, h)
-    depth = _resolve_depth(g.semantics, max_depth)
-    if g.semantics is Semantics.MAX_MIN:
-        tg, th = g.ranks(), h.ranks()
-        return _bfs(
-            (tg.initial, th.initial),
-            g.alphabet,
-            lambda lab, e: (tg.step(lab[0], e), th.step(lab[1], e)),
-            depth,
-            lambda lab: (tg.decode(lab[0]), th.decode(lab[1])),
-        )
-    return _bfs(
-        (g.initial, h.initial),
+    return _bfs(*_pair_table(g, h), _resolve_depth(g.semantics, max_depth))
+
+
+def _pair_table(g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton) -> Tuple[tuple, Tuple[str, ...], Callable, Callable]:
+    """(root, events, step, decode) for walking (plant, spec) pairs of keys."""
+    tg, th = g.table(), h.table()
+    return (
+        (tg.initial, th.initial),
         g.alphabet,
-        lambda lab, e: (fa.step(g, lab[0], e), fa.step(h, lab[1], e)),
-        depth,
+        lambda lab, e: (tg.step(lab[0], e), th.step(lab[1], e)),
+        lambda lab: (tg.decode(lab[0]), th.decode(lab[1])),
     )
 
 

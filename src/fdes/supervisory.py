@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -204,15 +204,11 @@ def _state_walk(g: FuzzyAutomaton) -> Tuple[tuple, Callable, Callable, Callable]
     """How a walk over strings carries g's fuzzy state: (start, step, top,
     marked), where step(v, σ) is the next state, and top(v) and marked(v)
     are L_G̃ and L_G̃,m of the strings that reach v, marked memoized as walks
-    meet states again.  Max-min automata are walked in rank space
-    (`FuzzyAutomaton.ranks`), so no step encodes or decodes."""
-    if g.semantics is Semantics.MAX_MIN:
-        table = g.ranks()
-        values = table.values
-        start, step, top, vector = table.initial, table.step, lambda r: values[max(r)], table.decode
-    else:
-        start, step, top, vector = g.initial, partial(fa.step, g), max_element, lambda v: v
-    return start, step, top, lru_cache(maxsize=None)(lambda v: fa.marked_at(g, vector(v)))
+    meet states again.  The walk runs on g's step table
+    (`FuzzyAutomaton.table`), so a step does int arithmetic only, and a
+    Fraction is built for a degree the walk reads, never for a state."""
+    table = g.table()
+    return table.initial, table.step, table.top, lru_cache(maxsize=None)(lambda v: fa.marked_at(g, table.decode(v)))
 
 
 def _require_matching_spec(g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> None:

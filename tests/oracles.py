@@ -5,7 +5,8 @@ exhaustive candidate search over a finite value lattice, plain nested loops.
 The point is to have independently-written baselines to compare the library
 against, so nothing below imports from fdes beyond the data containers,
 the Fraction max-min kernel `maxmin_apply`, which the rank-space paths of
-the library are checked against, and the controllability witness finder
+the library are checked against (the scaled-integer max-product paths are
+checked against plain nested Fraction loops), and the controllability witness finder
 `_violation`, which the iterated closures rescan with after every fix.
 """
 from fractions import Fraction
@@ -174,11 +175,11 @@ def random_automaton(rng, max_states=3, max_events=3, semantics=Semantics.MAX_MI
     return FuzzyAutomaton(labels, events, tuple(initial), marked_vecs, semantics)
 
 
-def dominated_pair(rng, max_states=3, max_events=3, palette=HALF_STEPS):
+def dominated_pair(rng, max_states=3, max_events=3, palette=HALF_STEPS, semantics=Semantics.MAX_MIN):
     """A plant and a spec automaton over the same alphabet with every spec
     entry bounded by the matching plant entry, and both initial vectors
     peaking at 1 on a shared index."""
-    g = random_automaton(rng, max_states, max_events, palette=palette)
+    g = random_automaton(rng, max_states, max_events, semantics, palette)
     n = g.dim
     below = {v: [w for w in palette if w <= v] for v in set(palette)}
 
@@ -307,15 +308,43 @@ def bfs_oracle(root, events, step, max_depth=None):
     return nodes, edges, witness, overflow
 
 
-def maxmin_states_oracle(g, max_depth=None):
-    return bfs_oracle(g.initial, g.alphabet, lambda q, e: maxmin_apply(q, g.matrix(e)), max_depth)
+def states_oracle(g, max_depth=None):
+    return bfs_oracle(g.initial, g.alphabet, lambda q, e: fraction_step(g, q, e), max_depth)
 
 
-def maxmin_pairs_oracle(g, h, max_depth=None):
-    def step(label, e):
-        return maxmin_apply(label[0], g.matrix(e)), maxmin_apply(label[1], h.matrix(e))
+def pair_step(g, h):
+    """One Fraction step of a (plant, spec) pair of state vectors."""
+    return lambda label, e: (fraction_step(g, label[0], e), fraction_step(h, label[1], e))
 
-    return bfs_oracle((g.initial, h.initial), g.alphabet, step, max_depth)
+
+def pairs_oracle(g, h, max_depth=None):
+    return bfs_oracle((g.initial, h.initial), g.alphabet, pair_step(g, h), max_depth)
+
+
+def tree_oracle(root, events, step, max_depth=None):
+    """The computing tree by plain recursion.
+
+    Returns (nodes, overflow): (label, incoming event, is leaf) for each node
+    in depth-first order, and the labels met beyond `max_depth` in the order
+    they were met.  A child is a leaf when its label repeats a label on its
+    root path; a child beyond `max_depth` is a node but is not expanded.
+    """
+    nodes, overflow = [(root, None, False)], []
+
+    def expand(label, path, depth):
+        for e in events:
+            child = step(label, e)
+            leaf = child in path
+            nodes.append((child, e, leaf))
+            if leaf:
+                continue
+            if max_depth is not None and depth + 1 > max_depth:
+                overflow.append(child)
+            else:
+                expand(child, path + (child,), depth + 1)
+
+    expand(root, (root,), 0)
+    return nodes, overflow
 
 
 # --- supervised languages by string replay ------------------------------------
@@ -372,16 +401,20 @@ def admissibility_by_replay(sup, g, attrs, n):
 
 # --- supervisory conditions by plain Fraction replay ----------------------------
 
+def fraction_step(g, q, e):
+    """q * e with the Fraction max-min kernel or, for max-product, plain
+    nested max/product loops."""
+    m = g.matrix(e)
+    if g.semantics is Semantics.MAX_MIN:
+        return maxmin_apply(q, m)
+    return tuple(max(q[i] * m[i][j] for i in range(len(q))) for j in range(len(q)))
+
+
 def fraction_run(g, s):
-    """q0 * s, folded from the initial vector with the Fraction max-min kernel
-    or, for max-product, plain nested max/product loops."""
+    """q0 * s, folded from the initial vector by `fraction_step`."""
     q = g.initial
     for e in s:
-        m = g.matrix(e)
-        if g.semantics is Semantics.MAX_MIN:
-            q = maxmin_apply(q, m)
-        else:
-            q = tuple(max(q[i] * m[i][j] for i in range(len(q))) for j in range(len(q)))
+        q = fraction_step(g, q, e)
     return q
 
 

@@ -60,7 +60,7 @@ def test_parse_degree_accepts_numbers():
     assert parse_degree(0.8) == F(4, 5)
 
 
-@pytest.mark.parametrize("bad", ["1.2", "-0.1", "7/5", "abc", "1/0", True, None, [0.2]])
+@pytest.mark.parametrize("bad", ["1.2", "-0.1", "7/5", "abc", "1/0", True, None, [0.2], float("nan"), float("inf"), float("-inf")])
 def test_parse_degree_rejects(bad):
     with pytest.raises(RangeError):
         parse_degree(bad)

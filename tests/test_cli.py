@@ -4,7 +4,11 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+from click.testing import CliRunner
+
 from conftest import GOLDEN, MODELS
+from fdes.cli import main
 
 FDES = shutil.which("fdes")
 
@@ -329,3 +333,50 @@ def test_eval_rejects_a_supervisor_of_mixed_semantics(tmp_path):
     res = fdes("eval", sup, path("maxmin_plant_2state.json"), "a1")
     assert res.returncode == 2
     assert "must share semantics" in res.stderr
+
+
+# --- error paths that end in an error line, not a traceback -----------------------
+
+
+def invoke(*args):
+    """Run the CLI in-process; an uncaught exception would be the result's
+    exception instead of the SystemExit of a handled exit."""
+    return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def assert_clean_exit(result, code):
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)
+    assert "error:" in result.output
+    assert "Traceback" not in result.output
+
+
+def write_model(tmp_path, initial, a="0.5"):
+    """A one-state max-product model with one event of degree `a`; `initial`
+    is spliced in as raw JSON."""
+    target = tmp_path / "model.json"
+    target.write_text(
+        '{"kind": "model", "semantics": "max-product", "states": ["q"], '
+        f'"initial": [{initial}], "events": {{"a": [["{a}"]]}}}}'
+    )
+    return target
+
+
+@pytest.mark.parametrize("depth", [975, 1500])
+def test_deep_tree_exits_cleanly(tmp_path, depth):
+    result = invoke("tree", write_model(tmp_path, '"1"'), "--depth", depth)
+    assert_clean_exit(result, 1)
+    assert f"did not close within depth {depth}" in result.output
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_degree_exits_two(tmp_path, token):
+    result = invoke("reach", write_model(tmp_path, token))
+    assert_clean_exit(result, 2)
+    assert "not a finite number" in result.output
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    result = invoke("reach", path("maxmin_plant_2state.json"), "--out", tmp_path / "missing" / "x")
+    assert_clean_exit(result, 2)
+    assert "cannot write" in result.output

@@ -221,9 +221,9 @@ def test_rank_enumeration_matches_fraction_bfs_random():
     for _ in range(80):
         g, h = oracles.dominated_pair(rng, palette=RANK_PALETTE)
         states = enumerate_states(g)
-        assert_graph_equals_oracle(states, oracles.maxmin_states_oracle(g))
+        assert_graph_equals_oracle(states, oracles.states_oracle(g))
         pairs = enumerate_pairs(g, h)
-        assert_graph_equals_oracle(pairs, oracles.maxmin_pairs_oracle(g, h))
+        assert_graph_equals_oracle(pairs, oracles.pairs_oracle(g, h))
         assert all(all_fractions(label) for label in states.nodes + pairs.nodes)
 
 
@@ -233,7 +233,7 @@ def test_rank_enumeration_frontier_is_decoded_random():
     for _ in range(80):
         g, h = oracles.dominated_pair(rng, palette=RANK_PALETTE)
         k = rng.randint(0, 2)
-        nodes, edges, witness, overflow = oracles.maxmin_pairs_oracle(g, h, max_depth=k)
+        nodes, edges, witness, overflow = oracles.pairs_oracle(g, h, max_depth=k)
         if not overflow:
             assert_graph_equals_oracle(enumerate_pairs(g, h, max_depth=k), (nodes, edges, witness, []))
             continue

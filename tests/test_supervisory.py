@@ -340,7 +340,7 @@ def random_supervised_instances(seed, count):
 
 def test_supervisor_rows_equal_their_replay_definition_random():
     for _, g, h, _, attrs in random_supervised_instances(51, 30):
-        witnesses = oracles.maxmin_pairs_oracle(g, h)[2].values()
+        witnesses = oracles.pairs_oracle(g, h)[2].values()
         for sup in (synthesize_supervisor(g, h, attrs), SynthesizedSupervisor(g, attrs, spec_automaton=h)):
             assert sup.rows() == [(w, {e: sup.enablement_degree(w, e) for e in g.alphabet}) for w in witnesses]
 
@@ -348,7 +348,7 @@ def test_supervisor_rows_equal_their_replay_definition_random():
 def test_check_rows_equal_per_witness_steps_random():
     for _, g, h, _, attrs in random_supervised_instances(52, 30):
         expected = []
-        for w in oracles.maxmin_pairs_oracle(g, h)[2].values():
+        for w in oracles.pairs_oracle(g, h)[2].values():
             vg, vh = run(g, w), run(h, w)
             for e in g.alphabet:
                 lg, prk = max_element(step(g, vg, e)), max_element(step(h, vh, e))
