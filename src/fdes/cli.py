@@ -16,7 +16,7 @@ import click
 
 from . import model_io, reachability, supervisory
 from . import language as fl
-from .algebra import format_degree, format_table
+from .algebra import Semantics, format_degree, format_table
 from .automaton import parallel_compose, string_from_text, string_to_text
 from .errors import DepthExceeded, FdesError, ParseError
 from .supervisory import EventAttributes
@@ -162,12 +162,33 @@ def _tree_text(root) -> list:
     return lines
 
 
-def _tree_json(node) -> dict:
-    return {
-        "label": reachability.format_label(node.label),
-        "leaf": node.is_leaf,
-        "children": {c.incoming_event: _tree_json(c) for c in node.children},
-    }
+def _tree_json(root) -> str:
+    """The computing-tree document as `json.dumps(doc, indent=2)` prints it,
+    where each node is {"label", "leaf", "children": {event: node}}.  Built
+    from an explicit stack of text pieces and (node, depth) entries, so a
+    tree deeper than the interpreter's recursion limit renders too."""
+    parts = ['{\n  "schema_version": "1",\n  "kind": "computing-tree",\n  "root": ']
+    stack = ["\n}\n", (root, 1)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        node, depth = item
+        pad, inner = "  " * depth, "  " * (depth + 1)
+        parts.append(
+            f'{{\n{inner}"label": {json.dumps(reachability.format_label(node.label))},'
+            f'\n{inner}"leaf": {json.dumps(node.is_leaf)},\n{inner}"children": '
+        )
+        if not node.children:
+            parts.append(f"{{}}\n{pad}}}")
+            continue
+        parts.append("{\n")
+        stack.append(f"\n{inner}}}\n{pad}}}")
+        for k, child in reversed(list(enumerate(node.children))):
+            stack.append((child, depth + 2))
+            stack.append((",\n" if k else "") + f"{inner}  {json.dumps(child.incoming_event)}: ")
+    return "".join(parts)
 
 
 @main.command()
@@ -191,7 +212,7 @@ def tree(models, depth, fmt, out):
     if fmt == "dot":
         emit(reachability.tree_to_dot(root), out)
     elif fmt == "json":
-        emit_json({"schema_version": "1", "kind": "computing-tree", "root": _tree_json(root)}, out)
+        emit(_tree_json(root), out)
     else:
         emit("\n".join(_tree_text(root)) + "\n", out)
 
@@ -292,6 +313,9 @@ def synthesize(model_g, spec, attrs_path, out):
     spec_obj = _load_spec(spec)
     attrs = _load_attrs(attrs_path, inline, g.alphabet)
     sup = supervisory.synthesize_supervisor(g, spec_obj, attrs)
+    if sup.spec_automaton is not None and g.semantics is Semantics.MAX_PRODUCT:
+        depth = supervisory.CHECK_DEPTH
+        click.echo(f"note: max-product specification: controllability checked to depth {depth}", err=True)
     if not sup.check_passed:
         click.echo("warning: the controllability check failed; the constructive rule was applied anyway", err=True)
     emit_json(model_io.supervisor_to_doc(sup), out)

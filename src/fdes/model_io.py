@@ -32,6 +32,8 @@ def load_document(path: str) -> dict:
         raise ParseError(f"{path}: no such file") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc

@@ -26,7 +26,12 @@ The conditions are evaluated on three finite string domains, each with one
 walker: the reachable pair classes (`_pair_successors`), pr(K̃)'s support
 (`_support_walk`) and all strings of length ≤ n (`_strings`).  The last two
 step each string's plant, spec and supervisor state from its parent's
-(`_state_walk`, `_spec_reader`, `_follower`), so none replays from q̃0.
+(`_state_walk`, `_spec_reader`, `_follower`), so none replays from q̃0.  A
+language spec's walk state is the string while it stays in pr(K̃)'s support
+and one absorbing state after, so it too repeats as strings grow: the
+bounded check keeps each string's (plant, spec) pair as an int id and
+computes each (pair, σ) transition once for all the strings that take it.
+Reports render each distinct degree once per call.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ class EventAttributes:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportRow:
     representative: EventString
     event: str
@@ -91,6 +96,22 @@ REPORT_HEADERS = ("s", "ev", "prK(s)", "LG(s.ev)", "uc(ev)", "lhs", "prK(s.ev)",
 # the ReportRow degrees, in column order; their JSON keys are these names
 DEGREE_FIELDS = ("prK_s", "LG_s_sigma", "sigma_uc", "lhs", "prK_s_sigma")
 _row_degrees = attrgetter(*DEGREE_FIELDS)
+# a row's fields after s and σ, to share among the rows of one transition
+_row_values = attrgetter(*DEGREE_FIELDS, "verdict")
+
+
+def _degree_texts() -> Callable[[Fraction], str]:
+    """format_degree for one rendering, each distinct degree formatted once.
+    The memo is keyed by the degree's integer ratio: a pair of ints hashes
+    far faster than the Fraction itself, which would cost more to hash than
+    formatting saves."""
+    texts: Dict[Tuple[int, int], str] = {}
+
+    def text(d: Fraction) -> str:
+        key = d.as_integer_ratio()
+        return texts.get(key) or texts.setdefault(key, format_degree(d))
+
+    return text
 
 
 @dataclass
@@ -109,8 +130,9 @@ class ControllabilityReport:
     def render_text(self, first_failure: bool = False) -> str:
         if first_failure:
             return self.through_first_failure().render_text()
+        text = _degree_texts()
         lines = format_table([REPORT_HEADERS] + [
-            (string_to_text(r.representative), r.event, *map(format_degree, _row_degrees(r)), "T" if r.verdict else "F")
+            (string_to_text(r.representative), r.event, *map(text, _row_degrees(r)), "T" if r.verdict else "F")
             for r in self.rows
         ])
         lines.append(f"overall: {'T' if self.overall else 'F'}")
@@ -120,6 +142,7 @@ class ControllabilityReport:
 
     def to_dict(self) -> dict:
         keys = ("s", "event", *DEGREE_FIELDS, "verdict")
+        text = _degree_texts()
         return {
             "schema_version": "1",
             "kind": "controllability-report",
@@ -130,7 +153,7 @@ class ControllabilityReport:
                 dict(zip(keys, (
                     string_to_text(r.representative) if r.representative else "",
                     r.event,
-                    *map(format_degree, _row_degrees(r)),
+                    *map(text, _row_degrees(r)),
                     r.verdict,
                 )))
                 for r in self.rows
@@ -224,13 +247,27 @@ def _require_matching_spec(g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, Finite
         )
 
 
+# the walk state of a language spec once a string has left pr(K̃)'s support:
+# no string over any alphabet, so pr(K̃) reads 0 there, and absorbing
+_OUTSIDE = (None,)
+
+
 def _spec_reader(spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> Tuple[object, Callable, Callable]:
     """How a walk over strings reads pr(K̃) off a specification: (start,
     step, prk) as in `_state_walk`, where prk(w) is pr(K̃)(s).  An automaton
-    spec is walked by its fuzzy state, a language spec by the string itself."""
+    spec is walked by its fuzzy state.  A language spec is walked by the
+    string itself while it is in pr(K̃)'s support and by `_OUTSIDE` after,
+    and prk is the language pr(K̃)."""
     if isinstance(spec, FuzzyAutomaton):
         return _state_walk(spec)[:3]
-    return (), lambda s, sigma: s + (sigma,), fl.prefix_closure(spec)
+    prk = fl.prefix_closure(spec)
+    support = prk.degrees
+
+    def step(w, sigma):
+        t = w + (sigma,)
+        return t if t in support else _OUTSIDE
+
+    return (() if () in support else _OUTSIDE), step, prk
 
 
 def check_controllability(
@@ -303,23 +340,39 @@ def check_n_controllability(
     """Bounded check over every string of length ≤ n (both semantics).
 
     Enumerates the full string tree — (Σ_{i=0..n} |Σ|^i)·|Σ| rows — and
-    reports progress through the optional callback.
+    reports progress through the optional callback.  A row depends on its
+    string s only through the pair (q̃0 * s, p̃0 * s), and the walk reaches
+    far fewer pairs than strings, so it carries each string's pair as an int
+    id and memoizes each (pair, σ) transition for the call: both steps, the
+    row's degrees and its verdict are computed once, and every string taking
+    the transition gets a row that shares them.
     """
     _require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
     _require_matching_spec(g, spec)
     g_start, g_step, lg, _ = _state_walk(g)
     k_start, k_step, prk = _spec_reader(spec)
+    pairs = [(g_start, k_start, prk(k_start))]  # id -> (plant state, spec state, pr(K̃) there)
+    ids = {(g_start, k_start): 0}
+    moves: Dict[Tuple[int, str], Tuple[int, tuple]] = {}  # (id, σ) -> (next id, the row's _row_values)
 
-    # the state of t = s·σ: (plant, spec, pr(K̃)(t), the row of (s, σ)), so the walk goes to n + 1
-    def grow(state, s, sigma):
-        v, w, prk_s, _ = state
+    def move(i, sigma):
+        v, w, prk_s = pairs[i]
         v, w = g_step(v, sigma), k_step(w, sigma)
-        prk_t = prk(w)
-        return v, w, prk_t, _make_row(s, sigma, prk_s, lg(v), attrs.uc(sigma), prk_t)
+        j = ids.setdefault((v, w), len(pairs))
+        if j == len(pairs):
+            pairs.append((v, w, prk(w)))
+        row = _make_row((), sigma, prk_s, lg(v), attrs.uc(sigma), pairs[j][2])
+        moves[i, sigma] = j, _row_values(row)
+        return moves[i, sigma]
+
+    # the state of t = s·σ: (its pair id, the row of (s, σ)), so the walk goes to n + 1
+    def grow(state, s, sigma):
+        j, values = moves.get((state[0], sigma)) or move(state[0], sigma)
+        return j, ReportRow(s, sigma, *values)
 
     rows: List[ReportRow] = []
-    for t, (*_, row) in _strings(n + 1, g.alphabet, (g_start, k_start, prk(k_start), None), grow):
+    for t, (_, row) in _strings(n + 1, g.alphabet, (0, None), grow):
         if t:
             rows.append(row)
             if progress is not None and len(rows) % len(g.alphabet) == 0:
@@ -432,14 +485,20 @@ class ExplicitSupervisor:
 Supervisor = Union[SynthesizedSupervisor, ExplicitSupervisor]
 
 
+# the string-length bound of the check synthesis runs for a max-product automaton spec
+CHECK_DEPTH = 8
+
+
 def synthesize_supervisor(
     g: FuzzyAutomaton,
     spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage],
     attrs: EventAttributes,
-    check_depth: int = 8,
+    check_depth: int = CHECK_DEPTH,
 ) -> SynthesizedSupervisor:
     """Build the constructive supervisor; runs the matching controllability
-    check first and flags the result (synthesis itself is total)."""
+    check first and flags the result (synthesis itself is total).  Only a
+    max-product automaton spec is checked on bounded strings, to
+    `check_depth`; the other checks are exact."""
     _require_matching_spec(g, spec)
     if isinstance(spec, FuzzyAutomaton):
         if g.semantics is Semantics.MAX_MIN:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import oracles
 from conftest import GOLDEN, MODELS
+from fdes import cli, reachability
+from fdes.algebra import ONE, ZERO, Semantics
 from fdes.cli import main
 
 FDES = shutil.which("fdes")
@@ -380,3 +384,80 @@ def test_unwritable_out_exits_two(tmp_path):
     result = invoke("reach", path("maxmin_plant_2state.json"), "--out", tmp_path / "missing" / "x")
     assert_clean_exit(result, 2)
     assert "cannot write" in result.output
+
+
+def permutation_model(tmp_path):
+    """A 28-state max-min model with one event permuting the states in cycles
+    of 2, 3, 5, 7 and 11 and distinct initial degrees: its state returns only
+    after lcm = 2,310 steps, so its computing tree is a chain of 2,311 nodes."""
+    succ, start = [], 0
+    for size in (2, 3, 5, 7, 11):
+        succ += [start + (i + 1) % size for i in range(size)]
+        start += size
+    doc = {
+        "kind": "model", "semantics": "max-min", "states": [f"q{i}" for i in range(28)],
+        "initial": [f"0.{i:02d}" for i in range(1, 29)],
+        "events": {"p": [["1" if j == succ[i] else "0" for j in range(28)] for i in range(28)]},
+    }
+    target = tmp_path / "permutation.json"
+    target.write_text(json.dumps(doc))
+    return target
+
+
+def test_tree_json_on_a_chain_deeper_than_the_recursion_limit(tmp_path):
+    result = invoke("tree", permutation_model(tmp_path), "--format", "json")
+    assert result.exit_code == 0, result.output
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)  # json.loads recurses once per nesting level, twice per tree level
+    try:
+        node, nodes = json.loads(result.stdout)["root"], 1
+    finally:
+        sys.setrecursionlimit(limit)
+    while node["children"]:
+        node, nodes = node["children"]["p"], nodes + 1
+    assert (nodes, node["leaf"]) == (2311, True)
+
+
+def tree_doc_by_recursion(node):
+    return {
+        "label": reachability.format_label(node.label),
+        "leaf": node.is_leaf,
+        "children": {c.incoming_event: tree_doc_by_recursion(c) for c in node.children},
+    }
+
+
+def test_tree_json_equals_json_dumps_of_the_nested_document():
+    """The iterative JSON renderer prints what json.dumps(indent=2) prints for
+    the nested document, on state and pair trees of both semantics."""
+    rng = random.Random(75)
+    shapes = set()
+    # max-product trees close only on crisp degrees
+    for semantics, palette in ((Semantics.MAX_MIN, oracles.HALF_STEPS), (Semantics.MAX_PRODUCT, (ZERO, ONE))):
+        for _ in range(25):
+            g, h = oracles.dominated_pair(rng, max_states=2, palette=palette, semantics=semantics)
+            for root in (reachability.build_computing_tree(g), reachability.build_pair_computing_tree(g, h)):
+                doc = {"schema_version": "1", "kind": "computing-tree", "root": tree_doc_by_recursion(root)}
+                assert cli._tree_json(root) == json.dumps(doc, indent=2) + "\n"
+                shapes.add((len(root.children), root.is_leaf))
+    assert len(shapes) >= 3
+
+
+def test_deeply_nested_document_exits_two(tmp_path):
+    target = tmp_path / "nested.json"
+    target.write_text("[" * 100_000 + "]" * 100_000)
+    result = invoke("reach", target)
+    assert_clean_exit(result, 2)
+    assert result.output == f"error: {target}: JSON nested too deeply to parse\n"
+
+
+def test_synthesize_states_the_check_depth_for_max_product_specs():
+    res = fdes("synthesize", path("maxprod_open.json"), path("maxprod_open.json"))
+    assert "note: max-product specification: controllability checked to depth 8\n" in res.stderr
+    assert res.returncode == 2  # a max-product pair has no finite enablement table to emit
+    for plant, spec, attrs in (
+        ("maxmin_plant_2state.json", "maxmin_spec_2state.json", "attrs_2state.json"),
+        ("chain_plant.json", "chain_spec_language.json", "attrs_chain_nonblocking.json"),
+    ):
+        res = fdes("synthesize", path(plant), path(spec), "--attrs", path(attrs))
+        assert res.returncode == 0
+        assert "checked to depth" not in res.stderr

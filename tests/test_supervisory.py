@@ -166,6 +166,7 @@ def test_check_n_progress_and_language_spec(chain):
     report = check_n_controllability(g, k, attrs_bad, 3, progress=seen.append)
     assert not report.overall
     assert len(seen) == sum(3**i for i in range(4))
+    assert seen == list(range(3, len(report.rows) + 1, 3))  # the row count after every |Σ| rows
     assert report.counterexample.representative == ("a", "b")
 
 
