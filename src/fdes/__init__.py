@@ -30,7 +30,6 @@ from .language import (
     is_controllable_wrt,
     prefix_closure,
     supremal_controllable_sublanguage,
-    value_lattice,
 )
 from .reachability import (
     ComputingTreeNode,

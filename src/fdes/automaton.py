@@ -136,16 +136,16 @@ class RankTable:
     rank vector back to the Fraction vector it stands for.
     """
 
-    __slots__ = ("values", "rank", "initial", "columns")
+    __slots__ = ("values", "initial", "columns")
 
     def __init__(self, g: FuzzyAutomaton):
         # the sorted distinct degrees; rank r stands for values[r]
         self.values: Tuple[Fraction, ...] = tuple(sorted(_degrees(g)))
-        self.rank: Dict[Fraction, int] = {d: r for r, d in enumerate(self.values)}
-        self.initial: Tuple[int, ...] = tuple(self.rank[d] for d in g.initial)
+        rank = {d: r for r, d in enumerate(self.values)}
+        self.initial: Tuple[int, ...] = tuple(rank[d] for d in g.initial)
         # event -> column j as the ranks of m[l][j]
         self.columns: Dict[str, Tuple[Tuple[int, ...], ...]] = {
-            e: tuple(tuple(self.rank[d] for d in col) for col in zip(*m)) for e, m in g.events.items()
+            e: tuple(tuple(rank[d] for d in col) for col in zip(*m)) for e, m in g.events.items()
         }
 
     def step(self, r: tuple, e: str) -> tuple:
@@ -213,29 +213,17 @@ class ScaledTable:
 
 
 def step(g: FuzzyAutomaton, q: Sequence, e: str) -> tuple:
-    """One transition: q̃ ⊙ σ̃ (or ∘ under max-product).
-
-    Max-min steps run on the automaton's rank table; a vector holding a
-    degree the automaton lacks takes the Fraction kernel, with equal result.
-    """
-    if g.semantics is not Semantics.MAX_MIN:
-        return algebra.maxprod_apply(q, g.matrix(e))
-    table = g.table()
-    cols = table.columns.get(e)
-    if cols is not None and len(q) == len(cols):
-        ranks = tuple(map(table.rank.get, q))
-        if None not in ranks:
-            values = table.values
-            return tuple([values[max(map(min, ranks, col))] for col in cols])
-    return algebra.maxmin_apply(q, g.matrix(e))
+    """One transition of any Fraction vector: q̃ ⊙ σ̃ (or ∘ under max-product)."""
+    return algebra.apply_event(q, g.matrix(e), g.semantics)
 
 
 def run(g: FuzzyAutomaton, s: Iterable[str]) -> tuple:
-    """Fold the string through the transition matrices from the initial state."""
-    q = g.initial
+    """q̃0 * s: the string folded on g's step table, decoded once."""
+    table = g.table()
+    v = table.initial
     for e in s:
-        q = step(g, q, e)
-    return q
+        v = table.step(v, e)
+    return table.decode(v)
 
 
 def generated_degree(g: FuzzyAutomaton, s: Iterable[str]):

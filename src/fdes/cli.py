@@ -17,8 +17,8 @@ import click
 from . import model_io, reachability, supervisory
 from . import language as fl
 from .algebra import Semantics, format_degree, format_table
-from .automaton import parallel_compose, string_from_text, string_to_text
-from .errors import DepthExceeded, FdesError, ParseError
+from .automaton import FuzzyAutomaton, parallel_compose, require_same_alphabet, string_from_text, string_to_text
+from .errors import DepthExceeded, FdesError, ParseError, SemanticsMismatch
 from .supervisory import EventAttributes
 
 
@@ -31,8 +31,6 @@ def _resolve_depth(depth: Optional[int]) -> Optional[int]:
                 depth = int(env)
             except ValueError:
                 raise ParseError(f"FDES_DEPTH_DEFAULT={env!r} is not an integer") from None
-    if depth is not None and depth < 0:
-        raise ParseError("depth must be ≥ 0")
     return depth
 
 
@@ -312,10 +310,11 @@ def synthesize(model_g, spec, attrs_path, out):
     g, inline = model_io.parse_model(model_g)
     spec_obj = _load_spec(spec)
     attrs = _load_attrs(attrs_path, inline, g.alphabet)
+    if isinstance(spec_obj, FuzzyAutomaton) and g.semantics is spec_obj.semantics is Semantics.MAX_PRODUCT:
+        # a max-product pair has no finite enablement table to emit; fail before the bounded check
+        require_same_alphabet(g, spec_obj)
+        raise SemanticsMismatch("no finite representative table for a max-product pair")
     sup = supervisory.synthesize_supervisor(g, spec_obj, attrs)
-    if sup.spec_automaton is not None and g.semantics is Semantics.MAX_PRODUCT:
-        depth = supervisory.CHECK_DEPTH
-        click.echo(f"note: max-product specification: controllability checked to depth {depth}", err=True)
     if not sup.check_passed:
         click.echo("warning: the controllability check failed; the constructive rule was applied anyway", err=True)
     emit_json(model_io.supervisor_to_doc(sup), out)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
-from .algebra import ZERO, ONE, parse_degree
+from .algebra import ZERO, parse_degree
 from .errors import AlphabetMismatch, KNotContainedInM, MNotPrefixClosed
 
 EventString = Tuple[str, ...]
@@ -99,7 +99,8 @@ def prefix_closure(l: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
 
 
 def is_prefix_closed(l: FiniteSupportFuzzyLanguage) -> bool:
-    return prefix_closure(l) == l
+    """pr(l) = l: no string of the support has a higher degree than its parent."""
+    return all(l.degrees.get(s[:-1], ZERO) >= d for s, d in l.degrees.items() if s)
 
 
 def _require_same_alphabet(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage):
@@ -135,16 +136,14 @@ class ControllabilityWitness(NamedTuple):
 
 
 def _violation(
-    domain: Iterable[EventString],
-    alphabet: Tuple[str, ...],
-    uc: Mapping[str, Fraction],
-    bound,
-    value_at,
+    l: FiniteSupportFuzzyLanguage, uc: Mapping[str, Fraction], bound
 ) -> Optional[ControllabilityWitness]:
-    for s in sorted(domain, key=lambda t: (len(t), t)):
-        for sigma in alphabet:
-            lhs = min(value_at(s), uc.get(sigma, ZERO), bound(s + (sigma,)))
-            rhs = value_at(s + (sigma,))
+    """The first (s, σ), s over l's support in (length, lex) order, with
+    min(l(s), Σ̃uc(σ), bound(s·σ)) > l(s·σ)."""
+    for s in l.support():
+        for sigma in l.alphabet:
+            lhs = min(l(s), uc.get(sigma, ZERO), bound(s + (sigma,)))
+            rhs = l(s + (sigma,))
             if lhs > rhs:
                 return ControllabilityWitness(s, sigma, lhs, rhs)
     return None
@@ -165,20 +164,8 @@ def is_controllable_wrt(
         raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
     uc = _uc_map(attrs)
     prk = prefix_closure(k)
-    witness = _violation(prk.degrees, k.alphabet, uc, m, prk)
+    witness = _violation(prk, uc, m)
     return witness is None, witness
-
-
-def value_lattice(
-    k: FiniteSupportFuzzyLanguage, m: FiniteSupportFuzzyLanguage, attrs
-) -> Tuple[Fraction, ...]:
-    """Every value the closures can produce: inputs plus the bounds 0 and 1."""
-    uc = _uc_map(attrs)
-    values = {ZERO, ONE}
-    values.update(k.degrees.values())
-    values.update(m.degrees.values())
-    values.update(uc.values())
-    return tuple(sorted(values))
 
 
 def supremal_controllable_sublanguage(

@@ -28,12 +28,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import automaton as fa
 from .algebra import Semantics, format_vector
-from .errors import DepthExceeded, SemanticsMismatch, TargetNotReachable
+from .errors import DepthExceeded, ParseError, SemanticsMismatch, TargetNotReachable
 
 DEFAULT_MAX_PRODUCT_DEPTH = 32
 
 
-def _resolve_depth(semantics: Semantics, max_depth: Optional[int]) -> Optional[int]:
+def _require_bound(name: str, bound: Optional[int]) -> None:
+    """A depth or string-length bound from the caller must not be negative."""
+    if bound is not None and bound < 0:
+        raise ParseError(f"{name} must be ≥ 0")
+
+
+def _depth_cap(semantics: Semantics, max_depth: Optional[int]) -> Optional[int]:
+    """The depth an enumeration stops at: max_depth, else none under max-min
+    and DEFAULT_MAX_PRODUCT_DEPTH under max-product."""
+    _require_bound("depth", max_depth)
     if max_depth is not None:
         return max_depth
     return None if semantics is Semantics.MAX_MIN else DEFAULT_MAX_PRODUCT_DEPTH
@@ -104,7 +113,7 @@ def _build_tree(root_label, events: Sequence[str], step_fn, decode: Callable, ma
 
 def build_computing_tree(g: fa.FuzzyAutomaton, max_depth: Optional[int] = None) -> ComputingTreeNode:
     """Expand the tree of fuzzy states q̃0 * s, closing on ancestor repeats."""
-    depth = _resolve_depth(g.semantics, max_depth)
+    depth = _depth_cap(g.semantics, max_depth)
     table = g.table()
     return _build_tree(table.initial, g.alphabet, table.step, table.decode, depth)
 
@@ -113,8 +122,8 @@ def build_pair_computing_tree(
     g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton, max_depth: Optional[int] = None
 ) -> ComputingTreeNode:
     """Tree over synchronized pairs (q̃0 * s, p̃0 * s) of plant and spec."""
+    depth = _depth_cap(g.semantics, max_depth)
     _require_pairable(g, h)
-    depth = _resolve_depth(g.semantics, max_depth)
     return _build_tree(*_pair_table(g, h), depth)
 
 
@@ -177,15 +186,16 @@ def _bfs(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth
 def enumerate_states(g: fa.FuzzyAutomaton, max_depth: Optional[int] = None) -> ReachableStateGraph:
     """All distinct fuzzy states q̃0 * s, in BFS order with shortest witnesses."""
     table = g.table()
-    return _bfs(table.initial, g.alphabet, table.step, table.decode, _resolve_depth(g.semantics, max_depth))
+    return _bfs(table.initial, g.alphabet, table.step, table.decode, _depth_cap(g.semantics, max_depth))
 
 
 def enumerate_pairs(
     g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton, max_depth: Optional[int] = None
 ) -> ReachableStateGraph:
     """All distinct synchronized pairs (q̃0 * s, p̃0 * s)."""
+    depth = _depth_cap(g.semantics, max_depth)
     _require_pairable(g, h)
-    return _bfs(*_pair_table(g, h), _resolve_depth(g.semantics, max_depth))
+    return _bfs(*_pair_table(g, h), depth)
 
 
 def _pair_table(g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton) -> Tuple[tuple, Tuple[str, ...], Callable, Callable]:

@@ -25,11 +25,13 @@ only through its pair class.
 The conditions are evaluated on three finite string domains, each with one
 walker: the reachable pair classes (`_pair_successors`), pr(K̃)'s support
 (`_support_walk`) and all strings of length ≤ n (`_strings`).  The last two
-step each string's plant, spec and supervisor state from its parent's
-(`_state_walk`, `_spec_reader`, `_follower`), so none replays from q̃0.  A
-language spec's walk state is the string while it stays in pr(K̃)'s support
-and one absorbing state after, so it too repeats as strings grow: the
-bounded check keeps each string's (plant, spec) pair as an int id and
+step each string's states from its parent's on step tables, so none replays
+from q̃0: the plant's (`FuzzyAutomaton.table`), the spec's (`_spec_table`)
+and the supervisor's (`_follower`: a supervisor of the plant shares the
+plant's state and carries its spec's, any other carries its own `walk`).  A
+language spec's table state is the string while it stays in pr(K̃)'s
+support and one absorbing state after, so it too repeats as strings grow:
+the bounded check keeps each string's (plant, spec) pair as an int id and
 computes each (pair, σ) transition once for all the strings that take it.
 Reports render each distinct degree once per call.
 """
@@ -47,7 +49,7 @@ from . import language as fl
 from . import reachability
 from .algebra import ONE, ZERO, Semantics, format_degree, format_table, max_element, parse_degree
 from .automaton import EventString, FuzzyAutomaton, string_to_text
-from .errors import AlphabetMismatch, NotCrisp, ParseError, SemanticsMismatch, StringNotInLanguage
+from .errors import AlphabetMismatch, NotCrisp, SemanticsMismatch, StringNotInLanguage
 from .language import FiniteSupportFuzzyLanguage
 
 
@@ -217,23 +219,6 @@ def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iter
                     level.append(child)
 
 
-def _require_bound(name: str, bound: Optional[int]) -> None:
-    """A string-length bound from the caller must not be negative."""
-    if bound is not None and bound < 0:
-        raise ParseError(f"{name} must be ≥ 0")
-
-
-def _state_walk(g: FuzzyAutomaton) -> Tuple[tuple, Callable, Callable, Callable]:
-    """How a walk over strings carries g's fuzzy state: (start, step, top,
-    marked), where step(v, σ) is the next state, and top(v) and marked(v)
-    are L_G̃ and L_G̃,m of the strings that reach v, marked memoized as walks
-    meet states again.  The walk runs on g's step table
-    (`FuzzyAutomaton.table`), so a step does int arithmetic only, and a
-    Fraction is built for a degree the walk reads, never for a state."""
-    table = g.table()
-    return table.initial, table.step, table.top, lru_cache(maxsize=None)(lambda v: fa.marked_at(g, table.decode(v)))
-
-
 def _require_matching_spec(g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> None:
     """A specification must share g's alphabet, and an automaton spec also
     g's semantics."""
@@ -252,22 +237,29 @@ def _require_matching_spec(g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, Finite
 _OUTSIDE = (None,)
 
 
-def _spec_reader(spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> Tuple[object, Callable, Callable]:
-    """How a walk over strings reads pr(K̃) off a specification: (start,
-    step, prk) as in `_state_walk`, where prk(w) is pr(K̃)(s).  An automaton
-    spec is walked by its fuzzy state.  A language spec is walked by the
-    string itself while it is in pr(K̃)'s support and by `_OUTSIDE` after,
-    and prk is the language pr(K̃)."""
-    if isinstance(spec, FuzzyAutomaton):
-        return _state_walk(spec)[:3]
-    prk = fl.prefix_closure(spec)
-    support = prk.degrees
+class _LanguageTable:
+    """The step table of a language spec, with the interface of an
+    automaton's (`FuzzyAutomaton.table`): a state is the string itself while
+    it is in pr(K̃)'s support and `_OUTSIDE` after, and top reads pr(K̃)."""
 
-    def step(w, sigma):
+    __slots__ = ("prk", "initial")
+
+    def __init__(self, k: FiniteSupportFuzzyLanguage):
+        self.prk = fl.prefix_closure(k)
+        self.initial = () if () in self.prk.degrees else _OUTSIDE
+
+    def step(self, w: tuple, sigma: str) -> tuple:
         t = w + (sigma,)
-        return t if t in support else _OUTSIDE
+        return t if t in self.prk.degrees else _OUTSIDE
 
-    return (() if () in support else _OUTSIDE), step, prk
+    def top(self, w: tuple) -> Fraction:
+        return self.prk(w)
+
+
+def _spec_table(spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]):
+    """The step table a walk reads pr(K̃) off: an automaton spec's own, or
+    a `_LanguageTable`."""
+    return spec.table() if isinstance(spec, FuzzyAutomaton) else _LanguageTable(spec)
 
 
 def check_controllability(
@@ -316,17 +308,17 @@ def check_language_controllability(
     _require_matching_spec(g, k)
     attrs.require_alphabet(g.alphabet)
     prk = fl.prefix_closure(k)
-    start, step, top, _ = _state_walk(g)
+    table = g.table()
     rows: List[ReportRow] = []
     warnings: List[str] = []
-    for s, v in _support_walk(prk, start, step):
-        if prk(s) > top(v) and not warnings:
+    for s, v in _support_walk(prk, table.initial, table.step):
+        if prk(s) > table.top(v) and not warnings:
             warnings.append(
                 f"pr(K) is not contained in L(G): at {string_to_text(s)} "
-                f"pr(K)={format_degree(prk(s))} > L(G)={format_degree(top(v))}"
+                f"pr(K)={format_degree(prk(s))} > L(G)={format_degree(table.top(v))}"
             )
         for sigma in g.alphabet:
-            rows.append(_make_row(s, sigma, prk(s), top(step(v, sigma)), attrs.uc(sigma), prk(s + (sigma,))))
+            rows.append(_make_row(s, sigma, prk(s), table.top(table.step(v, sigma)), attrs.uc(sigma), prk(s + (sigma,))))
     return _finish(rows, warnings)
 
 
@@ -347,13 +339,13 @@ def check_n_controllability(
     row's degrees and its verdict are computed once, and every string taking
     the transition gets a row that shares them.
     """
-    _require_bound("n", n)
+    reachability._require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
     _require_matching_spec(g, spec)
-    g_start, g_step, lg, _ = _state_walk(g)
-    k_start, k_step, prk = _spec_reader(spec)
-    pairs = [(g_start, k_start, prk(k_start))]  # id -> (plant state, spec state, pr(K̃) there)
-    ids = {(g_start, k_start): 0}
+    tg, tk = g.table(), _spec_table(spec)
+    g_step, k_step, lg, prk = tg.step, tk.step, tg.top, tk.top
+    pairs = [(tg.initial, tk.initial, prk(tk.initial))]  # id -> (plant state, spec state, pr(K̃) there)
+    ids = {(tg.initial, tk.initial): 0}
     moves: Dict[Tuple[int, str], Tuple[int, tuple]] = {}  # (id, σ) -> (next id, the row's _row_values)
 
     def move(i, sigma):
@@ -386,10 +378,10 @@ def check_sufficient_condition(
     """K̃(s·σ) ≥ min(Σ̃uc(σ), L_G̃(s·σ)) on pr(K̃)'s support — a stronger,
     cheaper condition that implies controllability."""
     attrs.require_alphabet(g.alphabet)
-    start, step, top, _ = _state_walk(g)
+    table = g.table()
     return all(
-        k(s + (sigma,)) >= min(attrs.uc(sigma), top(step(v, sigma)))
-        for s, v in _support_walk(fl.prefix_closure(k), start, step)
+        k(s + (sigma,)) >= min(attrs.uc(sigma), table.top(table.step(v, sigma)))
+        for s, v in _support_walk(fl.prefix_closure(k), table.initial, table.step)
         for sigma in g.alphabet
     )
 
@@ -417,24 +409,36 @@ class SynthesizedSupervisor:
             raise ValueError("exactly one of spec_automaton / spec_language required")
         spec = self.spec_language if self.spec_automaton is None else self.spec_automaton
         _require_matching_spec(self.plant, spec)
-        # (start, step, prk) for reading pr(K̃) along a walk; see _spec_reader
-        self._spec = _spec_reader(spec)
+        # the step table a walk reads pr(K̃) off
+        self._spec = _spec_table(spec)
 
     @property
     def alphabet(self) -> Tuple[str, ...]:
         return self.plant.alphabet
 
     def prk_degree(self, s: EventString) -> Fraction:
-        w, step, prk = self._spec
+        w = self._spec.initial
         for sigma in s:
-            w = step(w, sigma)
-        return prk(w)
+            w = self._spec.step(w, sigma)
+        return self._spec.top(w)
+
+    def walk(self) -> Tuple[tuple, Callable[[tuple, str], Tuple[Fraction, tuple]]]:
+        """This supervisor's walk over strings: (start, follow), where
+        follow(state, σ) gives S̃(s)(σ) and the state of s·σ from the state
+        of s, the pair of its plant's and its spec's table states."""
+        tg, tk, uc = self.plant.table(), self._spec, self.attrs.uc
+
+        def follow(state, sigma):
+            v, w = tg.step(state[0], sigma), tk.step(state[1], sigma)
+            return _enablement(uc(sigma), tg.top(v), tk.top(w)), (v, w)
+
+        return (tg.initial, tk.initial), follow
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
-        s_sigma = tuple(s) + (sigma,)
-        return _enablement(
-            self.attrs.uc(sigma), fa.generated_degree(self.plant, s_sigma), self.prk_degree(s_sigma)
-        )
+        state, follow = self.walk()
+        for e in s:
+            state = follow(state, e)[1]
+        return follow(state, sigma)[0]
 
     def pair_graph(self) -> reachability.ReachableStateGraph:
         """The reachable (plant, spec) pair graph (max-min automaton spec)."""
@@ -452,12 +456,11 @@ class SynthesizedSupervisor:
                 rows[s][sigma] = _enablement(uc_sigma, lg[j], prk[j])
             return list(rows.items())
         if self.spec_language is not None:
-            _, _, prk = self._spec
-            start, step, top, _ = _state_walk(self.plant)
+            prk, table = self._spec.prk, self.plant.table()
             return [
-                (s, {sigma: _enablement(self.attrs.uc(sigma), top(step(v, sigma)), prk(s + (sigma,)))
+                (s, {sigma: _enablement(self.attrs.uc(sigma), table.top(table.step(v, sigma)), prk(s + (sigma,)))
                      for sigma in self.alphabet})
-                for s, v in _support_walk(prk, start, step)
+                for s, v in _support_walk(prk, table.initial, table.step)
             ]
         raise SemanticsMismatch("no finite representative table for a max-product pair")
 
@@ -480,6 +483,11 @@ class ExplicitSupervisor:
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
         return self.table.get(tuple(s), {}).get(sigma, self.default)
+
+    def walk(self) -> Tuple[EventString, Callable[[EventString, str], Tuple[Fraction, EventString]]]:
+        """This supervisor's walk over strings, as `SynthesizedSupervisor.walk`;
+        the state is the string s itself."""
+        return (), lambda s, sigma: (self.enablement_degree(s, sigma), s + (sigma,))
 
 
 Supervisor = Union[SynthesizedSupervisor, ExplicitSupervisor]
@@ -522,39 +530,37 @@ def _supervises(sup: Supervisor, g: FuzzyAutomaton) -> bool:
 
 def _follower(
     sup: Supervisor, g: FuzzyAutomaton
-) -> Tuple[object, Callable[[object, EventString, str, Fraction], Tuple[Fraction, object]]]:
+) -> Tuple[object, Callable[[object, str, Fraction], Tuple[Fraction, object]]]:
     """How a walk over g's strings reads S̃(s)(σ): (start, follow), where
-    follow(state, s, σ, lg) gives S̃(s)(σ) and the next walk state, and lg is
-    L_G̃(s·σ), which the walk has from g's fuzzy state.
+    follow(state, σ, lg) gives S̃(s)(σ) and the next walk state, and lg is
+    L_G̃(s·σ), which the walk has from g's table state.
 
-    A synthesized supervisor of g uses that lg and carries its spec's walk
-    state (`_spec_reader`); any other supervisor is asked directly, which for
-    a synthesized one replays s·σ from q̃0.
+    A synthesized supervisor of g shares g's state, so it uses that lg and
+    carries only its spec's table state; any other supervisor carries its
+    own walk (`walk`).
     """
     if not _supervises(sup, g):
-        return None, lambda state, s, sigma, lg: (sup.enablement_degree(s, sigma), None)
-    uc = sup.attrs.uc
-    start, step, prk = sup._spec
+        start, own = sup.walk()
+        return start, lambda state, sigma, lg: own(state, sigma)
+    uc, tk = sup.attrs.uc, sup._spec
 
-    def follow(w, s, sigma, lg):
-        w = step(w, sigma)
-        return _enablement(uc(sigma), lg, prk(w)), w
+    def follow(w, sigma, lg):
+        w = tk.step(w, sigma)
+        return _enablement(uc(sigma), lg, tk.top(w)), w
 
-    return start, follow
+    return tk.initial, follow
 
 
 def controlled_generated_degree(sup: Supervisor, g: FuzzyAutomaton, s: Sequence[str]) -> Fraction:
     """L_{S̃/G̃}: ε ↦ 1, then min(previous, L_G̃(s·σ), S̃(s)(σ)) along the string."""
     state, follow = _follower(sup, g)
-    v, step, top, _ = _state_walk(g)
-    degree = ONE
-    prefix: EventString = ()
+    table = g.table()
+    v, degree = table.initial, ONE
     for sigma in s:
-        v = step(v, sigma)
-        lg = top(v)
-        enabled, state = follow(state, prefix, sigma, lg)
+        v = table.step(v, sigma)
+        lg = table.top(v)
+        enabled, state = follow(state, sigma, lg)
         degree = min(degree, lg, enabled)
-        prefix = prefix + (sigma,)
     return degree
 
 
@@ -580,7 +586,7 @@ def check_admissibility(
     another plant, one pair class of g can hold strings the supervisor
     treats differently, so the pair classes are not exact there.
     """
-    _require_bound("n", n)
+    reachability._require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
     exact = (
         n is None
@@ -602,17 +608,17 @@ def check_admissibility(
         bound = 6 if n is None else n
         domain = f"strings of length ≤ {bound}"
         start, follow = _follower(sup, g)
-        v0, step, top, _ = _state_walk(g)
+        table = g.table()
 
         def grow(state, s, sigma):
             v, w, _ = state
-            v = step(v, sigma)
-            lg = top(v)
-            provided, w = follow(w, s, sigma, lg)
+            v = table.step(v, sigma)
+            lg = table.top(v)
+            provided, w = follow(w, sigma, lg)
             return v, w, (s, sigma, min(attrs.uc(sigma), lg), provided)
 
         # (s, σ) is checked at the string s·σ, one longer than s
-        checks = (c for t, (_, _, c) in _strings(bound + 1, g.alphabet, (v0, start, None), grow) if t)
+        checks = (c for t, (_, _, c) in _strings(bound + 1, g.alphabet, (table.initial, start, None), grow) if t)
     violation = next((c for c in checks if c[2] > c[3]), None)
     return AdmissibilityResult(violation is None, violation, domain)
 
@@ -688,18 +694,20 @@ def check_nonblocking(
     The hypotheses K̃(ε) = 1 and pr(K̃) ⊆ L_{G̃,m} are diagnosed as warnings,
     not failures: the verdicts below are computed regardless.
     """
-    _require_bound("depth", depth)
+    reachability._require_bound("depth", depth)
     attrs.require_alphabet(g.alphabet)
     prk = fl.prefix_closure(k)
     warnings: List[str] = []
     if k(()) != ONE:
         warnings.append(f"K(ε) = {format_degree(k(()))}, expected 1")
-    v0, step, top, marked = _state_walk(g)
+    table = g.table()
+    # L(G,m) of the strings that reach a table state, as walks meet states again
+    marked = lru_cache(maxsize=None)(lambda v: fa.marked_at(g, table.decode(v)))
 
     # one pass over pr(K)'s support for the hypothesis pr(K) ⊆ L(G,m) and
     # (a)  K = pr(K) ∩ L(G,m), trivially 0 = 0 outside pr(K)'s support
     contained, condition_a, a_witness = True, True, None
-    for t, v in _support_walk(prk, v0, step):
+    for t, v in _support_walk(prk, table.initial, table.step):
         lm = marked(v)
         if contained and prk(t) > lm:
             contained = False
@@ -720,14 +728,14 @@ def check_nonblocking(
 
     def grow(state, s, sigma):
         v, degree, w = state
-        v = step(v, sigma)
-        lg = top(v)
-        enabled, w = follow(w, s, sigma, lg)
+        v = table.step(v, sigma)
+        lg = table.top(v)
+        enabled, w = follow(w, sigma, lg)
         return v, min(degree, lg, enabled), w
 
     gen: Dict[EventString, Fraction] = {}
     pr_marked: Dict[EventString, Fraction] = {}
-    for s, (v, degree, _) in _strings(depth, g.alphabet, (v0, ONE, start), grow):
+    for s, (v, degree, _) in _strings(depth, g.alphabet, (table.initial, ONE, start), grow):
         gen[s] = degree
         pr_marked[s] = min(degree, marked(v))
     for s in sorted(gen, key=len, reverse=True):

@@ -128,7 +128,7 @@ def iterated_supremal(k, m, attrs):
     f = dict(k.degrees)
     while True:
         pr_f = prefix_closure(k.with_degrees(f))
-        witness = _violation(pr_f.degrees, k.alphabet, uc, m, pr_f)
+        witness = _violation(pr_f, uc, m)
         if witness is None:
             break
         cap = witness.rhs  # pr(f)(s·σ)
@@ -148,11 +148,18 @@ def iterated_infimal(k, m, attrs):
     g = dict(prefix_closure(k).degrees)
     while True:
         lang = k.with_degrees(g)
-        witness = _violation(g, k.alphabet, uc, m, lang)
+        witness = _violation(lang, uc, m)
         if witness is None:
             break
         g[witness.s + (witness.sigma,)] = witness.lhs
     return k.with_degrees(g)
+
+
+def value_lattice(k, m, attrs):
+    """Every value the closures can produce: the degrees of k, m and the
+    attributes, plus the bounds 0 and 1, sorted."""
+    uc = getattr(attrs, "uncontrollability", attrs)
+    return tuple(sorted({ZERO, ONE, *k.degrees.values(), *m.degrees.values(), *uc.values()}))
 
 
 # --- random instance generators ---------------------------------------------
@@ -360,22 +367,18 @@ def strings_up_to(alphabet, depth):
 
 def controlled_degree_by_replay(sup, g, s):
     """L_{S/G}(s) from its definition: every factor replayed from q0."""
-    from fdes.automaton import generated_degree
-
     degree = ONE
     for i, e in enumerate(s):
-        degree = min(degree, generated_degree(g, s[: i + 1]), sup.enablement_degree(s[:i], e))
+        degree = min(degree, replay_generated(g, s[: i + 1]), sup.enablement_degree(s[:i], e))
     return degree
 
 
 def direct_nonblocking_by_replay(sup, g, depth):
     """The direct comparison pr(L_{S/G,m}) = L_{S/G} on strings of length
     <= depth, by replay: returns (ok, first diverging string or None)."""
-    from fdes.automaton import marked_degree
-
     strings = strings_up_to(g.alphabet, depth)
     gen = {s: controlled_degree_by_replay(sup, g, s) for s in strings}
-    pr_marked = {s: min(gen[s], marked_degree(g, s)) for s in strings}
+    pr_marked = {s: min(gen[s], replay_marked(g, s)) for s in strings}
     for s in reversed(strings):
         if s and pr_marked[s] > pr_marked[s[:-1]]:
             pr_marked[s[:-1]] = pr_marked[s]
@@ -388,11 +391,9 @@ def direct_nonblocking_by_replay(sup, g, depth):
 def admissibility_by_replay(sup, g, attrs, n):
     """The first (s, σ, required, provided) with min(uc(σ), L_G(s·σ)) above
     S(s)(σ) over strings of length <= n, by replay: returns (ok, violation)."""
-    from fdes.automaton import generated_degree
-
     for s in strings_up_to(g.alphabet, n):
         for e in g.alphabet:
-            required = min(attrs.uc(e), generated_degree(g, s + (e,)))
+            required = min(attrs.uc(e), replay_generated(g, s + (e,)))
             provided = sup.enablement_degree(s, e)
             if required > provided:
                 return False, (s, e, required, provided)
@@ -582,7 +583,6 @@ def assert_round_trip(g, h, attrs, depth=6, rng=None):
     when it fails, the reported counterexample row must be reproducible from
     the raw definitions.  Returns the check verdict."""
     from fdes.algebra import apply_event, max_element
-    from fdes.automaton import run as run_fa, step as step_fa
     from fdes.supervisory import (
         check_admissibility,
         check_controllability,
@@ -620,12 +620,12 @@ def assert_round_trip(g, h, attrs, depth=6, rng=None):
     else:
         row = rep.counterexample
         s, e = row.representative, row.event
-        vh = run_fa(h, s)
+        vh = fraction_run(h, s)
         assert row.prK_s == max_element(vh)
-        assert row.LG_s_sigma == max_element(run_fa(g, s + (e,)))
+        assert row.LG_s_sigma == max_element(fraction_run(g, s + (e,)))
         assert row.sigma_uc == attrs.uc(e)
         assert row.lhs == min(row.prK_s, row.sigma_uc, row.LG_s_sigma)
-        assert row.prK_s_sigma == max_element(step_fa(h, vh, e))
+        assert row.prK_s_sigma == max_element(fraction_step(h, vh, e))
         assert row.lhs > row.prK_s_sigma
         assert not row.verdict
     return rep.overall

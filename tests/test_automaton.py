@@ -116,9 +116,22 @@ def test_run_agrees_with_stepwise_fold_random():
         assert run(g, s) == v
 
 
+def test_string_degrees_match_the_fraction_replays():
+    """run, generated_degree and marked_degree fold the step table; they
+    must equal plain Fraction replays under both semantics."""
+    rng = random.Random(13)
+    for semantics in (Semantics.MAX_MIN, Semantics.MAX_PRODUCT):
+        for _ in range(40):
+            g = oracles.random_automaton(rng, semantics=semantics, marked=rng.random() < 0.8)
+            for s in oracles.strings_up_to(g.alphabet, 3):
+                assert run(g, s) == oracles.fraction_run(g, s)
+                assert generated_degree(g, s) == oracles.replay_generated(g, s)
+                assert marked_degree(g, s) == oracles.replay_marked(g, s)
+
+
 def test_maxmin_step_accepts_degrees_the_automaton_lacks():
-    """The rank kernel covers the automaton's own degrees; any other vector
-    must still step exactly as the Fraction kernel does."""
+    """step takes any vector, not only one of the automaton's own degrees,
+    and steps it exactly as the Fraction kernel does."""
     rng = random.Random(14)
     foreign = (F(1, 3), F(2, 7), F(0.45), F(99, 100), ZERO, ONE)
     for _ in range(60):

@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 import oracles
-from conftest import GOLDEN, MODELS
-from fdes import cli, reachability
+from conftest import GOLDEN, MODELS, ROOT
+from fdes import cli, reachability, supervisory
 from fdes.algebra import ONE, ZERO, Semantics
 from fdes.cli import main
 
@@ -45,6 +45,18 @@ def test_reach_text_golden():
     res = fdes("reach", path("maxmin_plant_2state.json"))
     assert res.returncode == 0
     assert res.stdout == golden("reach_2state.txt")
+
+
+def test_case_study_replay_golden():
+    """scripts/run_case_studies.py prints every bundled case study's listing,
+    exit status and stderr; the whole output is deterministic."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    res = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_case_studies.py")], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0
+    assert res.stdout == golden("case_studies.txt")
 
 
 def test_pairs_text_goldens():
@@ -450,10 +462,18 @@ def test_deeply_nested_document_exits_two(tmp_path):
     assert result.output == f"error: {target}: JSON nested too deeply to parse\n"
 
 
-def test_synthesize_states_the_check_depth_for_max_product_specs():
-    res = fdes("synthesize", path("maxprod_open.json"), path("maxprod_open.json"))
-    assert "note: max-product specification: controllability checked to depth 8\n" in res.stderr
-    assert res.returncode == 2  # a max-product pair has no finite enablement table to emit
+def test_synthesize_rejects_max_product_specs_before_the_check(monkeypatch):
+    """A max-product pair has no finite enablement table to emit, so
+    `synthesize` fails before running the bounded check, and says nothing
+    about the depth of a check it did not run."""
+
+    def checked(*args, **kwargs):
+        raise AssertionError("ran the bounded check")
+
+    monkeypatch.setattr(supervisory, "check_n_controllability", checked)
+    result = invoke("synthesize", path("maxprod_open.json"), path("maxprod_open.json"))
+    assert_clean_exit(result, 2)
+    assert result.output == "error: no finite representative table for a max-product pair\n"
     for plant, spec, attrs in (
         ("maxmin_plant_2state.json", "maxmin_spec_2state.json", "attrs_2state.json"),
         ("chain_plant.json", "chain_spec_language.json", "attrs_chain_nonblocking.json"),

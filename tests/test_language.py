@@ -21,7 +21,6 @@ from fdes.language import (
     is_sublanguage,
     prefix_closure,
     supremal_controllable_sublanguage,
-    value_lattice,
     zero_language,
 )
 
@@ -98,6 +97,22 @@ def test_prefix_closure_distributes_over_union(k1, k2):
     lhs = prefix_closure(fuzzy_and(k1, k2))
     rhs = fuzzy_and(prefix_closure(k1), prefix_closure(k2))
     assert is_sublanguage(lhs, rhs)
+
+
+def test_is_prefix_closed_agrees_with_the_closure():
+    """is_prefix_closed compares each string with its parent only: it must
+    agree with pr(l) = l on random languages, on their closures, and on
+    closures with one degree redrawn."""
+    rng = random.Random(34)
+    verdicts = set()
+    for _ in range(200):
+        l = oracles.random_language(rng, AB, max_len=3)
+        redrawn = dict(prefix_closure(l).degrees)
+        redrawn[rng.choice(list(redrawn))] = rng.choice(oracles.SMALL_LATTICE)
+        for c in (l, prefix_closure(l), l.with_degrees(redrawn)):
+            verdicts.add(is_prefix_closed(c))
+            assert is_prefix_closed(c) == (prefix_closure(c) == c)
+    assert verdicts == {True, False}
 
 
 @given(languages(), languages())
@@ -197,7 +212,7 @@ def test_infimal_requires_containment(lattice_case):
 
 def test_value_lattice(lattice_case):
     k, m, attrs = lattice_case
-    values = value_lattice(k, m, attrs)
+    values = oracles.value_lattice(k, m, attrs)
     assert values[0] == ZERO and values[-1] == ONE
     for v in list(k.degrees.values()) + list(m.degrees.values()):
         assert v in values
@@ -222,7 +237,7 @@ def test_closures_match_brute_force_small():
             continue
         k = fuzzy_and(oracles.random_language(rng, AB, max_support=4), m)
         attrs = oracles.random_attrs(rng, AB, palette=oracles.SMALL_LATTICE)
-        oracles.assert_closures_match_brute_force(k, m, attrs, value_lattice(k, m, attrs))
+        oracles.assert_closures_match_brute_force(k, m, attrs, oracles.value_lattice(k, m, attrs))
         done += 1
 
 

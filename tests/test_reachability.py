@@ -6,7 +6,6 @@ import pytest
 
 import oracles
 from fdes.algebra import as_vector, format_vector
-from fdes.automaton import run
 from fdes.errors import DepthExceeded, TargetNotReachable
 from fdes.reachability import (
     DEFAULT_MAX_PRODUCT_DEPTH,
@@ -53,7 +52,7 @@ def test_replay_and_index_of(two_state):
     graph = enumerate_states(g)
     for i, node in enumerate(graph.nodes):
         # witnesses drive the automaton to the node, and the edge map agrees
-        assert run(g, graph.witness[i]) == node
+        assert oracles.fraction_run(g, graph.witness[i]) == node
         assert graph.replay(graph.witness[i]) == i
     assert graph.index_of(v("0.8", "0.5")) == 4
     with pytest.raises(TargetNotReachable):
@@ -189,7 +188,7 @@ def test_maxmin_always_closes_random():
         for node in graph.nodes:
             assert set(node) <= pool
         for i, node in enumerate(graph.nodes):
-            assert run(g, graph.witness[i]) == node
+            assert oracles.fraction_run(g, graph.witness[i]) == node
         # the tree closes on ancestor repeats only, so its size can blow up
         # combinatorially; cross-check it against the graph on small instances
         if len(graph.nodes) <= 8:

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
+import fdes.algebra
 import fdes.automaton
 from fdes.algebra import ONE, ZERO, Semantics, max_element
-from fdes.automaton import FuzzyAutomaton, generated_degree, run, step, string_to_text
+from fdes.automaton import FuzzyAutomaton, generated_degree, step, string_to_text
 from fdes.errors import AlphabetMismatch, ParseError, SemanticsMismatch, StringNotInLanguage, UnknownEvent
 from fdes.language import FiniteSupportFuzzyLanguage, prefix_closure
+from fdes.reachability import build_computing_tree, build_pair_computing_tree, enumerate_pairs, enumerate_states
 from fdes.supervisory import (
     REPORT_HEADERS,
     EventAttributes,
@@ -350,7 +352,7 @@ def test_check_rows_equal_per_witness_steps_random():
     for _, g, h, _, attrs in random_supervised_instances(52, 30):
         expected = []
         for w in oracles.pairs_oracle(g, h)[2].values():
-            vg, vh = run(g, w), run(h, w)
+            vg, vh = oracles.fraction_run(g, w), oracles.fraction_run(h, w)
             for e in g.alphabet:
                 lg, prk = max_element(step(g, vg, e)), max_element(step(h, vh, e))
                 expected.append((w, e, max_element(vh), lg, attrs.uc(e), prk))
@@ -450,9 +452,16 @@ def test_check_n_rows_equal_fraction_replay_random():
                 assert report_rows(report) == oracles.check_rows_by_replay(g, spec, attrs, strings)
 
 
-def test_negative_bounds_are_parse_errors(chain):
+def test_negative_bounds_are_parse_errors(chain, two_state):
     g, k, attrs, _ = chain
     sup = synthesize_supervisor(g, k, attrs)
+    plant, spec = two_state
+    for enumerate_or_build in (enumerate_states, build_computing_tree):
+        with pytest.raises(ParseError, match="depth must be ≥ 0"):
+            enumerate_or_build(plant, -1)
+    for enumerate_or_build in (enumerate_pairs, build_pair_computing_tree):
+        with pytest.raises(ParseError, match="depth must be ≥ 0"):
+            enumerate_or_build(plant, spec, -1)
     with pytest.raises(ParseError, match="n must be ≥ 0"):
         check_n_controllability(g, k, attrs, -1)
     with pytest.raises(ParseError, match="n must be ≥ 0"):
@@ -471,7 +480,9 @@ def test_controlled_degree_rejects_undeclared_events(two_state, attrs_two_state)
 def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, chain):
     """The pair-class paths read successors off the pair graph, and the walks
     over pr(K)'s support and over strings read L_G and L_G,m from the plant
-    state they carry."""
+    state they carry.  A supervisor of another plant, or of an equal plant
+    whose events are declared in another order, carries its own walk on its
+    own tables, so it neither replays nor steps on Fractions either."""
 
     def replayed(*args):
         raise AssertionError("replayed a string from the initial state")
@@ -499,6 +510,23 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
             check_language_controllability(plant, lang, a)
             check_nonblocking(sup, plant, lang, a)
             controlled_generated_degree(sup, plant, plant.alphabet * 2)
+    reordered = FuzzyAutomaton(g.state_labels, dict(reversed(g.events.items())), g.initial, g.marked, g.semantics)
+    g_p, h_p = (replace(a, semantics=Semantics.MAX_PRODUCT) for a in (g, h))
+    foreign = [
+        (synthesize_supervisor(h, h, attrs_two_state), g),
+        (synthesize_supervisor(reordered, h, attrs_two_state), g),
+        (SynthesizedSupervisor(g_p, attrs_two_state, spec_automaton=h_p), h_p),
+        (ExplicitSupervisor(g.alphabet, {}), g),
+    ]
+    with monkeypatch.context() as m:
+        for owner, name in [(fdes.automaton, "run"), (fdes.automaton, "generated_degree"), (fdes.automaton, "step"),
+                            (fdes.algebra, "maxmin_apply"), (fdes.algebra, "maxprod_apply")]:
+            m.setattr(owner, name, replayed)
+        for sup, plant in foreign:
+            assert check_admissibility(sup, plant, attrs_two_state).domain == "strings of length ≤ 6"
+            check_nonblocking(sup, plant, k_g, attrs_two_state)
+            controlled_generated_degree(sup, plant, plant.alphabet * 2)
+            sup.enablement_degree(plant.alphabet, plant.alphabet[0])
 
 
 # --- round trip -----------------------------------------------------------------------
