@@ -66,6 +66,12 @@ def _field(doc: dict, name: str, where: str):
     return doc[name]
 
 
+def _require(ok: bool, where: str, what: str) -> None:
+    """A field of the wrong type is a ParseError naming the document and the field."""
+    if not ok:
+        raise ParseError(f"{where}: {what}")
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -75,8 +81,11 @@ def parse_model_doc(doc: dict, where: str = "model") -> Tuple[FuzzyAutomaton, Op
     if not isinstance(states, list) or not states:
         raise ParseError(f"{where}: 'states' must be a non-empty list of names")
     n = len(states)
-    semantics = Semantics(_field(doc, "semantics", where))
+    semantics = _field(doc, "semantics", where)
+    _require(semantics in [s.value for s in Semantics], where,
+             f"'semantics' must be one of {', '.join(s.value for s in Semantics)}")
     initial = _field(doc, "initial", where)
+    _require(isinstance(initial, list), where, "'initial' must be a list of degrees")
     if len(initial) != n:
         raise ShapeError(f"{where}: initial has {len(initial)} entries for {n} states")
     events_doc = _field(doc, "events", where)
@@ -84,10 +93,14 @@ def parse_model_doc(doc: dict, where: str = "model") -> Tuple[FuzzyAutomaton, Op
         raise ParseError(f"{where}: 'events' must be an object of name → grid")
     events: Dict[str, list] = {}
     for name, grid in events_doc.items():
+        _require(isinstance(grid, list) and all(isinstance(row, list) for row in grid), where,
+                 f"event {name!r} grid must be a list of rows")
         if len(grid) != n or any(len(row) != n for row in grid):
             raise ShapeError(f"{where}: event {name!r} grid is not {n}×{n}")
         events[name] = grid
     marked = doc.get("marked", [])
+    _require(isinstance(marked, list) and all(isinstance(v, list) for v in marked), where,
+             "'marked' must be a list of degree vectors")
     for i, v in enumerate(marked):
         if len(v) != n:
             raise ShapeError(f"{where}: marked[{i}] has {len(v)} entries for {n} states")
@@ -96,11 +109,11 @@ def parse_model_doc(doc: dict, where: str = "model") -> Tuple[FuzzyAutomaton, Op
         events=events,
         initial=initial,
         marked=tuple(tuple(v) for v in marked),
-        semantics=semantics,
+        semantics=Semantics(semantics),
     )
     attrs = None
     if "uncontrollability" in doc:
-        attrs = EventAttributes({e: d for e, d in doc["uncontrollability"].items()})
+        attrs = parse_attributes_doc(doc, where)
         attrs.require_alphabet(g.alphabet)
     return g, attrs
 
@@ -166,7 +179,9 @@ def language_to_doc(l: FiniteSupportFuzzyLanguage) -> dict:
 
 
 def parse_attributes_doc(doc: dict, where: str = "attributes") -> EventAttributes:
-    return EventAttributes(dict(_field(doc, "uncontrollability", where)))
+    uc = _field(doc, "uncontrollability", where)
+    _require(isinstance(uc, dict), where, "'uncontrollability' must map events to degrees")
+    return EventAttributes(dict(uc))
 
 
 def parse_attributes(path: str) -> EventAttributes:
@@ -232,12 +247,12 @@ def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
             check_passed=doc.get("check_passed"),
         )
     if mode == "explicit":
+        table = _field(doc, "table", where)
+        _require(isinstance(table, dict) and all(isinstance(row, dict) for row in table.values()), where,
+                 "'table' must map strings to rows of event degrees")
         return ExplicitSupervisor(
             alphabet=tuple(_field(doc, "alphabet", where)),
-            table={
-                string_from_text(text): dict(row)
-                for text, row in _field(doc, "table", where).items()
-            },
+            table={string_from_text(text): dict(row) for text, row in table.items()},
             default=doc.get("default", "0"),
         )
     raise ParseError(f"{where}: unknown supervisor mode {mode!r}")

@@ -19,21 +19,23 @@ synthesized supervisor realizes
              = pr(K̃)(s·σ)              otherwise
 
 lazily from its source models; explicit supervisors carry a finite table
-with a default.  For a max-min automaton spec, S̃(s)(σ) too depends on s
-only through its pair class.
+with a default.  S̃(s)(σ) too depends on s only through the pair.
 
-The conditions are evaluated on three finite string domains, each with one
-walker: the reachable pair classes (`_pair_successors`), pr(K̃)'s support
-(`_support_walk`) and all strings of length ≤ n (`_strings`).  The last two
-step each string's states from its parent's on step tables, so none replays
-from q̃0: the plant's (`FuzzyAutomaton.table`), the spec's (`_spec_table`)
-and the supervisor's (`_follower`: a supervisor of the plant shares the
-plant's state and carries its spec's, any other carries its own `walk`).  A
-language spec's table state is the string while it stays in pr(K̃)'s
-support and one absorbing state after, so it too repeats as strings grow:
-the bounded check keeps each string's (plant, spec) pair as an int id and
-computes each (pair, σ) transition once for all the strings that take it.
-Reports render each distinct degree once per call.
+So every plant–spec computation reads one `_PairWalk`.  It numbers the
+(plant, spec) pairs of step-table states as it meets them — the plant's
+`FuzzyAutomaton.table` and the spec's, or a `_LanguageTable` — and
+computes each (pair, σ) transition once: both steps, the row of the
+inequality and, on first use, S̃(s)(σ).  A language spec's table state is
+the string while it stays in pr(K̃)'s support and one absorbing state
+after, so it too repeats as strings grow.  The exact checks, a synthesized
+supervisor's rows and exact admissibility read the walk's domain: pr(K̃)'s
+support for a language spec, the reachable pair classes for a max-min
+automaton spec.  The bounded check, bounded admissibility and the
+nonblocking comparison go over all strings of length ≤ n (`_strings`),
+each string's state stepped from its parent's, so none replays from q̃0;
+there a synthesized supervisor's state (`walk`) is its pair id, and a
+transition met again is a dict hit.  Reports render each distinct degree
+once per call.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 from . import automaton as fa
 from . import language as fl
 from . import reachability
-from .algebra import ONE, ZERO, Semantics, format_degree, format_table, max_element, parse_degree
+from .algebra import ONE, ZERO, Semantics, format_degree, format_table, parse_degree
 from .automaton import EventString, FuzzyAutomaton, string_to_text
 from .errors import AlphabetMismatch, NotCrisp, SemanticsMismatch, StringNotInLanguage
 from .language import FiniteSupportFuzzyLanguage
@@ -98,8 +100,6 @@ REPORT_HEADERS = ("s", "ev", "prK(s)", "LG(s.ev)", "uc(ev)", "lhs", "prK(s.ev)",
 # the ReportRow degrees, in column order; their JSON keys are these names
 DEGREE_FIELDS = ("prK_s", "LG_s_sigma", "sigma_uc", "lhs", "prK_s_sigma")
 _row_degrees = attrgetter(*DEGREE_FIELDS)
-# a row's fields after s and σ, to share among the rows of one transition
-_row_values = attrgetter(*DEGREE_FIELDS, "verdict")
 
 
 def _degree_texts() -> Callable[[Fraction], str]:
@@ -163,44 +163,9 @@ class ControllabilityReport:
         }
 
 
-def _make_row(s, sigma, prK_s, lg, uc_val, prK_s_sigma) -> ReportRow:
-    lhs = min(prK_s, uc_val, lg)
-    return ReportRow(s, sigma, prK_s, lg, uc_val, lhs, prK_s_sigma, lhs <= prK_s_sigma)
-
-
 def _finish(rows: List[ReportRow], warnings: List[str], n: Optional[int] = None) -> ControllabilityReport:
     counterexample = next((r for r in rows if not r.verdict), None)
     return ControllabilityReport(rows, counterexample is None, counterexample, warnings, n)
-
-
-def _node_degrees(pairs: reachability.ReachableStateGraph) -> Tuple[List[Fraction], List[Fraction]]:
-    """L_G̃ and pr(K̃) at each (plant, spec) pair node: the largest entries."""
-    return [max_element(vg) for vg, _ in pairs.nodes], [max_element(vh) for _, vh in pairs.nodes]
-
-
-def _enablement(uc: Fraction, lg_next: Fraction, prk_next: Fraction) -> Fraction:
-    """The constructive rule S̃(s)(σ) from Σ̃uc(σ), L_G̃(s·σ) and pr(K̃)(s·σ)."""
-    return min(uc, lg_next) if uc >= prk_next else prk_next
-
-
-def _pair_successors(pairs: reachability.ReachableStateGraph, attrs: EventAttributes):
-    """(i, s, σ, Σ̃uc(σ), j) for each pair node i, in witness order, with its
-    witness s and each event σ in alphabet order, where j is the σ-successor
-    node of i read off the graph's edges."""
-    uc = [(sigma, attrs.uc(sigma)) for sigma in pairs.events]
-    for i, s in pairs.witness.items():
-        for sigma, uc_sigma in uc:
-            yield i, s, sigma, uc_sigma, pairs.edges[(i, sigma)]
-
-
-def _support_walk(prk: FiniteSupportFuzzyLanguage, start, step: Callable) -> Iterator[Tuple[EventString, object]]:
-    """(s, v) for each string s of pr(K̃)'s support in (length, lex) order,
-    where v is one step(v, σ) from the state of s's parent: the support is
-    prefix-closed and sorted by length, so the parent came first."""
-    states = {}
-    for s in prk.support():
-        states[s] = v = step(states[s[:-1]], s[-1]) if s else start
-        yield s, v
 
 
 def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iterator[Tuple[EventString, object]]:
@@ -256,10 +221,113 @@ class _LanguageTable:
         return self.prk(w)
 
 
-def _spec_table(spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]):
-    """The step table a walk reads pr(K̃) off: an automaton spec's own, or
-    a `_LanguageTable`."""
-    return spec.table() if isinstance(spec, FuzzyAutomaton) else _LanguageTable(spec)
+class _PairWalk(dict):
+    """The (plant, spec) pairs of table states met from (q̃0, p̃0), numbered
+    as they are met, and the transitions between them, each computed once.
+
+    walk[i, σ] is the move (j, row) for every s at pair i: j is the pair of
+    s·σ, and row holds the degrees and verdict of the controllability row of
+    (s, σ), the `ReportRow` fields after s and σ.  A move is computed on its
+    first lookup and kept, and so is S̃(s)(σ) (`enablement`).
+    """
+
+    def __init__(self, g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage],
+                 attrs: EventAttributes):
+        super().__init__()
+        self.alphabet = g.alphabet
+        self.tg, self.uc = g.table(), attrs.uc
+        # the step table pr(K̃) is read off: an automaton spec's own, or a language spec's
+        self.tk = spec.table() if isinstance(spec, FuzzyAutomaton) else _LanguageTable(spec)
+        start = (self.tg.initial, self.tk.initial)
+        self.pairs = [start]  # id -> (plant state, spec state)
+        self.ids = {start: 0}
+        self.lg = [self.tg.top(start[0])]  # id -> L_G̃ of its strings
+        self.prk = [self.tk.top(start[1])]  # id -> pr(K̃) of its strings
+        self.enabled: Dict[Tuple[int, str], Fraction] = {}
+        self._domain: Optional[Dict[int, EventString]] = None
+
+    def __missing__(self, key: Tuple[int, str]) -> Tuple[int, tuple]:
+        i, sigma = key
+        v, w = self.pairs[i]
+        pair = self.tg.step(v, sigma), self.tk.step(w, sigma)
+        j = self.ids.setdefault(pair, len(self.pairs))
+        if j == len(self.pairs):
+            self.pairs.append(pair)
+            self.lg.append(self.tg.top(pair[0]))
+            self.prk.append(self.tk.top(pair[1]))
+        prk_s, uc, lg, prk_next = self.prk[i], self.uc(sigma), self.lg[j], self.prk[j]
+        lhs = min(prk_s, uc, lg)
+        move = self[key] = j, (prk_s, lg, uc, lhs, prk_next, lhs <= prk_next)
+        return move
+
+    def enablement(self, i: int, sigma: str) -> Fraction:
+        """S̃(s)(σ) for every s at pair i."""
+        enabled = self.enabled.get((i, sigma))
+        if enabled is None:
+            _, (_, lg, uc, _, prk_next, _) = self[i, sigma]
+            enabled = self.enabled[i, sigma] = min(uc, lg) if uc >= prk_next else prk_next
+        return enabled
+
+    def pair(self, s: Sequence[str]) -> int:
+        """The pair id of the string s."""
+        i = 0
+        for sigma in s:
+            i = self[i, sigma][0]
+        return i
+
+    def domain(self) -> Dict[int, EventString]:
+        """Pair id → witness for the strings the exact conditions range
+        over: pr(K̃)'s support in (length, lex) order for a language spec,
+        where each string is a pair of its own; otherwise the reachable
+        pairs breadth-first with shortest witnesses, which close under
+        max-min only."""
+        if self._domain is None:
+            if isinstance(self.tk, _LanguageTable):
+                ids: Dict[EventString, int] = {}
+                for s in self.tk.prk.support():  # prefix-closed and sorted by length: parents first
+                    ids[s] = self[ids[s[:-1]], s[-1]][0] if s else 0
+                self._domain = {i: s for s, i in ids.items()}
+            else:
+                witness = self._domain = {0: ()}
+                queue = [0]
+                for i in queue:
+                    for sigma in self.alphabet:
+                        j = self[i, sigma][0]
+                        if j not in witness:
+                            witness[j] = witness[i] + (sigma,)
+                            queue.append(j)
+        return self._domain
+
+
+def _require_exact(
+    g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage], attrs: EventAttributes
+) -> None:
+    """The preconditions of an exact check: a matching spec, max-min if it
+    is an automaton, and attributes for g's alphabet."""
+    if isinstance(spec, FuzzyAutomaton) and (
+        g.semantics is not Semantics.MAX_MIN or spec.semantics is not Semantics.MAX_MIN
+    ):
+        raise SemanticsMismatch(
+            "the pair-class check is exact for max-min systems only; "
+            "use check_n_controllability for max-product"
+        )
+    _require_matching_spec(g, spec)
+    attrs.require_alphabet(g.alphabet)
+
+
+def _exact_report(walk: _PairWalk) -> ControllabilityReport:
+    """The exact check: a row for each (s, σ) of the walk's domain, and a
+    warning at the first s with pr(K̃)(s) > L_G̃(s)."""
+    domain, lg, prk = walk.domain(), walk.lg, walk.prk
+    warnings: List[str] = []
+    i = next((i for i in domain if prk[i] > lg[i]), None)
+    if i is not None:
+        warnings.append(
+            f"pr(K) is not contained in L(G): at {string_to_text(domain[i])} "
+            f"pr(K)={format_degree(prk[i])} > L(G)={format_degree(lg[i])}"
+        )
+    rows = [ReportRow(s, sigma, *walk[i, sigma][1]) for i, s in domain.items() for sigma in walk.alphabet]
+    return _finish(rows, warnings)
 
 
 def check_controllability(
@@ -269,35 +337,8 @@ def check_controllability(
 
     h is the specification automaton generating pr(K̃).
     """
-    return _check_pair_classes(g, h, attrs)[0]
-
-
-def _check_pair_classes(
-    g: FuzzyAutomaton, h: FuzzyAutomaton, attrs: EventAttributes
-) -> Tuple[ControllabilityReport, reachability.ReachableStateGraph]:
-    """check_controllability, also returning the pair graph it checked;
-    each row reads its successor pair off the graph's edges."""
-    if g.semantics is not Semantics.MAX_MIN or h.semantics is not Semantics.MAX_MIN:
-        raise SemanticsMismatch(
-            "the pair-class check is exact for max-min systems only; "
-            "use check_n_controllability for max-product"
-        )
-    fa.require_same_alphabet(g, h)
-    attrs.require_alphabet(g.alphabet)
-    pairs = reachability.enumerate_pairs(g, h)
-    lg, prk = _node_degrees(pairs)
-    warnings: List[str] = []
-    i = next((i for i in pairs.witness if prk[i] > lg[i]), None)
-    if i is not None:
-        warnings.append(
-            f"pr(K) is not contained in L(G): at {string_to_text(pairs.witness[i])} "
-            f"pr(K)={format_degree(prk[i])} > L(G)={format_degree(lg[i])}"
-        )
-    rows = [
-        _make_row(s, sigma, prk[i], lg[j], uc_sigma, prk[j])
-        for i, s, sigma, uc_sigma, j in _pair_successors(pairs, attrs)
-    ]
-    return _finish(rows, warnings), pairs
+    _require_exact(g, h, attrs)
+    return _exact_report(_PairWalk(g, h, attrs))
 
 
 def check_language_controllability(
@@ -305,21 +346,8 @@ def check_language_controllability(
 ) -> ControllabilityReport:
     """Exact check of a finite-support specification against the plant's
     generated language: outside pr(K̃)'s support the condition is 0 ≤ rhs."""
-    _require_matching_spec(g, k)
-    attrs.require_alphabet(g.alphabet)
-    prk = fl.prefix_closure(k)
-    table = g.table()
-    rows: List[ReportRow] = []
-    warnings: List[str] = []
-    for s, v in _support_walk(prk, table.initial, table.step):
-        if prk(s) > table.top(v) and not warnings:
-            warnings.append(
-                f"pr(K) is not contained in L(G): at {string_to_text(s)} "
-                f"pr(K)={format_degree(prk(s))} > L(G)={format_degree(table.top(v))}"
-            )
-        for sigma in g.alphabet:
-            rows.append(_make_row(s, sigma, prk(s), table.top(table.step(v, sigma)), attrs.uc(sigma), prk(s + (sigma,))))
-    return _finish(rows, warnings)
+    _require_exact(g, k, attrs)
+    return _exact_report(_PairWalk(g, k, attrs))
 
 
 def check_n_controllability(
@@ -332,36 +360,19 @@ def check_n_controllability(
     """Bounded check over every string of length ≤ n (both semantics).
 
     Enumerates the full string tree — (Σ_{i=0..n} |Σ|^i)·|Σ| rows — and
-    reports progress through the optional callback.  A row depends on its
-    string s only through the pair (q̃0 * s, p̃0 * s), and the walk reaches
-    far fewer pairs than strings, so it carries each string's pair as an int
-    id and memoizes each (pair, σ) transition for the call: both steps, the
-    row's degrees and its verdict are computed once, and every string taking
-    the transition gets a row that shares them.
+    reports progress through the optional callback.  Each string carries
+    its pair id, so a row shares the degrees and verdict of its
+    transition, computed once for all the strings that take it.
     """
     reachability._require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
     _require_matching_spec(g, spec)
-    tg, tk = g.table(), _spec_table(spec)
-    g_step, k_step, lg, prk = tg.step, tk.step, tg.top, tk.top
-    pairs = [(tg.initial, tk.initial, prk(tk.initial))]  # id -> (plant state, spec state, pr(K̃) there)
-    ids = {(tg.initial, tk.initial): 0}
-    moves: Dict[Tuple[int, str], Tuple[int, tuple]] = {}  # (id, σ) -> (next id, the row's _row_values)
-
-    def move(i, sigma):
-        v, w, prk_s = pairs[i]
-        v, w = g_step(v, sigma), k_step(w, sigma)
-        j = ids.setdefault((v, w), len(pairs))
-        if j == len(pairs):
-            pairs.append((v, w, prk(w)))
-        row = _make_row((), sigma, prk_s, lg(v), attrs.uc(sigma), pairs[j][2])
-        moves[i, sigma] = j, _row_values(row)
-        return moves[i, sigma]
+    walk = _PairWalk(g, spec, attrs)
 
     # the state of t = s·σ: (its pair id, the row of (s, σ)), so the walk goes to n + 1
     def grow(state, s, sigma):
-        j, values = moves.get((state[0], sigma)) or move(state[0], sigma)
-        return j, ReportRow(s, sigma, *values)
+        j, row = walk[state[0], sigma]
+        return j, ReportRow(s, sigma, *row)
 
     rows: List[ReportRow] = []
     for t, (_, row) in _strings(n + 1, g.alphabet, (0, None), grow):
@@ -378,10 +389,10 @@ def check_sufficient_condition(
     """K̃(s·σ) ≥ min(Σ̃uc(σ), L_G̃(s·σ)) on pr(K̃)'s support — a stronger,
     cheaper condition that implies controllability."""
     attrs.require_alphabet(g.alphabet)
-    table = g.table()
+    walk = _PairWalk(g, k, attrs)
     return all(
-        k(s + (sigma,)) >= min(attrs.uc(sigma), table.top(table.step(v, sigma)))
-        for s, v in _support_walk(fl.prefix_closure(k), table.initial, table.step)
+        k(s + (sigma,)) >= min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]])
+        for i, s in walk.domain().items()
         for sigma in g.alphabet
     )
 
@@ -399,70 +410,39 @@ class SynthesizedSupervisor:
     spec_automaton: Optional[FuzzyAutomaton] = None
     spec_language: Optional[FiniteSupportFuzzyLanguage] = None
     check_passed: Optional[bool] = None
-    # the reachable (plant, spec) pair graph of a max-min automaton spec, built on first use
-    _pairs: Optional[reachability.ReachableStateGraph] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # the (plant, spec) pair walk every enablement degree is read off
+    _walk: _PairWalk = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.spec_automaton is None) == (self.spec_language is None):
             raise ValueError("exactly one of spec_automaton / spec_language required")
         spec = self.spec_language if self.spec_automaton is None else self.spec_automaton
         _require_matching_spec(self.plant, spec)
-        # the step table a walk reads pr(K̃) off
-        self._spec = _spec_table(spec)
+        self._walk = _PairWalk(self.plant, spec, self.attrs)
 
     @property
     def alphabet(self) -> Tuple[str, ...]:
         return self.plant.alphabet
 
     def prk_degree(self, s: EventString) -> Fraction:
-        w = self._spec.initial
-        for sigma in s:
-            w = self._spec.step(w, sigma)
-        return self._spec.top(w)
+        return self._walk.prk[self._walk.pair(s)]
 
-    def walk(self) -> Tuple[tuple, Callable[[tuple, str], Tuple[Fraction, tuple]]]:
+    def walk(self) -> Tuple[int, Callable[[int, str], Tuple[Fraction, int]]]:
         """This supervisor's walk over strings: (start, follow), where
         follow(state, σ) gives S̃(s)(σ) and the state of s·σ from the state
-        of s, the pair of its plant's and its spec's table states."""
-        tg, tk, uc = self.plant.table(), self._spec, self.attrs.uc
-
-        def follow(state, sigma):
-            v, w = tg.step(state[0], sigma), tk.step(state[1], sigma)
-            return _enablement(uc(sigma), tg.top(v), tk.top(w)), (v, w)
-
-        return (tg.initial, tk.initial), follow
+        of s, its pair id."""
+        walk = self._walk
+        return 0, lambda i, sigma: (walk.enablement(i, sigma), walk[i, sigma][0])
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
-        state, follow = self.walk()
-        for e in s:
-            state = follow(state, e)[1]
-        return follow(state, sigma)[0]
-
-    def pair_graph(self) -> reachability.ReachableStateGraph:
-        """The reachable (plant, spec) pair graph (max-min automaton spec)."""
-        if self._pairs is None:
-            self._pairs = reachability.enumerate_pairs(self.plant, self.spec_automaton)
-        return self._pairs
+        return self._walk.enablement(self._walk.pair(s), sigma)
 
     def rows(self) -> List[Tuple[EventString, Dict[str, Fraction]]]:
         """One representative enablement row per distinguishable input."""
-        if self.spec_automaton is not None and self.plant.semantics is Semantics.MAX_MIN:
-            pairs = self.pair_graph()
-            lg, prk = _node_degrees(pairs)
-            rows = {s: {} for s in pairs.witness.values()}
-            for i, s, sigma, uc_sigma, j in _pair_successors(pairs, self.attrs):
-                rows[s][sigma] = _enablement(uc_sigma, lg[j], prk[j])
-            return list(rows.items())
-        if self.spec_language is not None:
-            prk, table = self._spec.prk, self.plant.table()
-            return [
-                (s, {sigma: _enablement(self.attrs.uc(sigma), table.top(table.step(v, sigma)), prk(s + (sigma,)))
-                     for sigma in self.alphabet})
-                for s, v in _support_walk(prk, table.initial, table.step)
-            ]
-        raise SemanticsMismatch("no finite representative table for a max-product pair")
+        if self.spec_automaton is not None and self.plant.semantics is not Semantics.MAX_MIN:
+            raise SemanticsMismatch("no finite representative table for a max-product pair")
+        walk = self._walk
+        return [(s, {sigma: walk.enablement(i, sigma) for sigma in self.alphabet}) for i, s in walk.domain().items()]
 
 
 @dataclass
@@ -506,61 +486,30 @@ def synthesize_supervisor(
     """Build the constructive supervisor; runs the matching controllability
     check first and flags the result (synthesis itself is total).  Only a
     max-product automaton spec is checked on bounded strings, to
-    `check_depth`; the other checks are exact."""
+    `check_depth`; the other checks are exact and run on the supervisor's
+    own walk."""
     _require_matching_spec(g, spec)
-    if isinstance(spec, FuzzyAutomaton):
-        if g.semantics is Semantics.MAX_MIN:
-            report, pairs = _check_pair_classes(g, spec, attrs)
-            sup = SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
-            sup._pairs = pairs
-            return sup
+    if not isinstance(spec, FuzzyAutomaton):
+        sup = SynthesizedSupervisor(g, attrs, spec_language=spec)
+    elif g.semantics is Semantics.MAX_MIN:
+        sup = SynthesizedSupervisor(g, attrs, spec_automaton=spec)
+    else:
         report = check_n_controllability(g, spec, attrs, check_depth)
         return SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
-    report = check_language_controllability(g, spec, attrs)
-    return SynthesizedSupervisor(g, attrs, spec_language=spec, check_passed=report.overall)
-
-
-def _supervises(sup: Supervisor, g: FuzzyAutomaton) -> bool:
-    """Whether sup was synthesized for g itself, so that g's fuzzy states
-    give it L_G̃ and g's pair classes are its own."""
-    return isinstance(sup, SynthesizedSupervisor) and (
-        sup.plant is g or (sup.plant == g and sup.plant.alphabet == g.alphabet)
-    )
-
-
-def _follower(
-    sup: Supervisor, g: FuzzyAutomaton
-) -> Tuple[object, Callable[[object, str, Fraction], Tuple[Fraction, object]]]:
-    """How a walk over g's strings reads S̃(s)(σ): (start, follow), where
-    follow(state, σ, lg) gives S̃(s)(σ) and the next walk state, and lg is
-    L_G̃(s·σ), which the walk has from g's table state.
-
-    A synthesized supervisor of g shares g's state, so it uses that lg and
-    carries only its spec's table state; any other supervisor carries its
-    own walk (`walk`).
-    """
-    if not _supervises(sup, g):
-        start, own = sup.walk()
-        return start, lambda state, sigma, lg: own(state, sigma)
-    uc, tk = sup.attrs.uc, sup._spec
-
-    def follow(w, sigma, lg):
-        w = tk.step(w, sigma)
-        return _enablement(uc(sigma), lg, tk.top(w)), w
-
-    return tk.initial, follow
+    _require_exact(g, spec, attrs)
+    sup.check_passed = _exact_report(sup._walk).overall
+    return sup
 
 
 def controlled_generated_degree(sup: Supervisor, g: FuzzyAutomaton, s: Sequence[str]) -> Fraction:
     """L_{S̃/G̃}: ε ↦ 1, then min(previous, L_G̃(s·σ), S̃(s)(σ)) along the string."""
-    state, follow = _follower(sup, g)
+    state, follow = sup.walk()
     table = g.table()
     v, degree = table.initial, ONE
     for sigma in s:
         v = table.step(v, sigma)
-        lg = table.top(v)
-        enabled, state = follow(state, sigma, lg)
-        degree = min(degree, lg, enabled)
+        enabled, state = follow(state, sigma)
+        degree = min(degree, table.top(v), enabled)
     return degree
 
 
@@ -588,34 +537,34 @@ def check_admissibility(
     """
     reachability._require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
+    # a max-min supervisor of g itself from an automaton spec, whose pair classes are g's
     exact = (
         n is None
-        and _supervises(sup, g)
+        and isinstance(sup, SynthesizedSupervisor)
         and sup.spec_automaton is not None
+        and (sup.plant is g or (sup.plant == g and sup.plant.alphabet == g.alphabet))
         and g.semantics is Semantics.MAX_MIN
-        and sup.spec_automaton.semantics is Semantics.MAX_MIN
     )
     # (s, σ, required, provided) for each (s, σ) of the domain, in order
     if exact:
         domain = "exact (reachable pair classes)"
-        pairs = sup.pair_graph()
-        lg, prk = _node_degrees(pairs)
+        walk = sup._walk
         checks = (
-            (s, sigma, min(attrs.uc(sigma), lg[j]), _enablement(sup_uc, lg[j], prk[j]))
-            for i, s, sigma, sup_uc, j in _pair_successors(pairs, sup.attrs)
+            (s, sigma, min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]]), walk.enablement(i, sigma))
+            for i, s in walk.domain().items()
+            for sigma in g.alphabet
         )
     else:
         bound = 6 if n is None else n
         domain = f"strings of length ≤ {bound}"
-        start, follow = _follower(sup, g)
+        start, follow = sup.walk()
         table = g.table()
 
         def grow(state, s, sigma):
             v, w, _ = state
             v = table.step(v, sigma)
-            lg = table.top(v)
-            provided, w = follow(w, sigma, lg)
-            return v, w, (s, sigma, min(attrs.uc(sigma), lg), provided)
+            provided, w = follow(w, sigma)
+            return v, w, (s, sigma, min(attrs.uc(sigma), table.top(v)), provided)
 
         # (s, σ) is checked at the string s·σ, one longer than s
         checks = (c for t, (_, _, c) in _strings(bound + 1, g.alphabet, (table.initial, start, None), grow) if t)
@@ -695,43 +644,42 @@ def check_nonblocking(
     not failures: the verdicts below are computed regardless.
     """
     reachability._require_bound("depth", depth)
-    attrs.require_alphabet(g.alphabet)
-    prk = fl.prefix_closure(k)
+    _require_exact(g, k, attrs)
     warnings: List[str] = []
     if k(()) != ONE:
         warnings.append(f"K(ε) = {format_degree(k(()))}, expected 1")
-    table = g.table()
+    walk = _PairWalk(g, k, attrs)
+    table = walk.tg
     # L(G,m) of the strings that reach a table state, as walks meet states again
     marked = lru_cache(maxsize=None)(lambda v: fa.marked_at(g, table.decode(v)))
 
     # one pass over pr(K)'s support for the hypothesis pr(K) ⊆ L(G,m) and
     # (a)  K = pr(K) ∩ L(G,m), trivially 0 = 0 outside pr(K)'s support
     contained, condition_a, a_witness = True, True, None
-    for t, v in _support_walk(prk, table.initial, table.step):
-        lm = marked(v)
-        if contained and prk(t) > lm:
+    for i, t in walk.domain().items():
+        prk, lm = walk.prk[i], marked(walk.pairs[i][0])
+        if contained and prk > lm:
             contained = False
             warnings.append(
                 f"pr(K) is not contained in L(G,m): at {string_to_text(t)} "
-                f"pr(K)={format_degree(prk(t))} > L(G,m)={format_degree(lm)}"
+                f"pr(K)={format_degree(prk)} > L(G,m)={format_degree(lm)}"
             )
-        if condition_a and k(t) != min(prk(t), lm):
+        if condition_a and k(t) != min(prk, lm):
             condition_a, a_witness = False, t
 
-    # (b)  the controllability condition for K against L(G)
-    report_b = check_language_controllability(g, k, attrs)
+    # (b)  the controllability condition for K against L(G), on the same walk
+    report_b = _exact_report(walk)
 
     # direct bounded comparison for the supervisor actually given
     if depth is None:
-        depth = max((len(t) for t in prk.support()), default=0) + 2
-    start, follow = _follower(sup, g)
+        depth = max(map(len, walk.domain().values()), default=0) + 2
+    start, follow = sup.walk()
 
     def grow(state, s, sigma):
         v, degree, w = state
         v = table.step(v, sigma)
-        lg = table.top(v)
-        enabled, w = follow(w, sigma, lg)
-        return v, min(degree, lg, enabled), w
+        enabled, w = follow(w, sigma)
+        return v, min(degree, table.top(v), enabled), w
 
     gen: Dict[EventString, Fraction] = {}
     pr_marked: Dict[EventString, Fraction] = {}

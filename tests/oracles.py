@@ -27,7 +27,7 @@ from fdes.language import (
     prefix_closure,
     supremal_controllable_sublanguage,
 )
-from fdes.supervisory import EventAttributes
+from fdes.supervisory import EventAttributes, ExplicitSupervisor
 
 HALF_STEPS = tuple(Fraction(n, 10) for n in range(11))
 SMALL_LATTICE = (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1))
@@ -365,11 +365,28 @@ def strings_up_to(alphabet, depth):
     return out
 
 
+def prk_by_replay(sup, s):
+    """pr(K)(s) of a synthesized supervisor's spec, replayed from p0 or read
+    off K's support."""
+    if sup.spec_automaton is not None:
+        return replay_generated(sup.spec_automaton, s)
+    return prefix_degree(sup.spec_language, s)
+
+
+def enablement_by_replay(sup, s, e):
+    """S(s)(σ): an explicit supervisor's table entry, or the constructive
+    rule with L_G(s·σ) and pr(K)(s·σ) replayed for the supervisor's own plant."""
+    if isinstance(sup, ExplicitSupervisor):
+        return sup.enablement_degree(s, e)
+    uc, prk = sup.attrs.uc(e), prk_by_replay(sup, s + (e,))
+    return min(uc, replay_generated(sup.plant, s + (e,))) if uc >= prk else prk
+
+
 def controlled_degree_by_replay(sup, g, s):
     """L_{S/G}(s) from its definition: every factor replayed from q0."""
     degree = ONE
     for i, e in enumerate(s):
-        degree = min(degree, replay_generated(g, s[: i + 1]), sup.enablement_degree(s[:i], e))
+        degree = min(degree, replay_generated(g, s[: i + 1]), enablement_by_replay(sup, s[:i], e))
     return degree
 
 
@@ -394,7 +411,7 @@ def admissibility_by_replay(sup, g, attrs, n):
     for s in strings_up_to(g.alphabet, n):
         for e in g.alphabet:
             required = min(attrs.uc(e), replay_generated(g, s + (e,)))
-            provided = sup.enablement_degree(s, e)
+            provided = enablement_by_replay(sup, s, e)
             if required > provided:
                 return False, (s, e, required, provided)
     return True, None

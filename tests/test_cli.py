@@ -398,6 +398,35 @@ def test_unwritable_out_exits_two(tmp_path):
     assert "cannot write" in result.output
 
 
+ONE_STATE = {"kind": "model", "semantics": "max-min", "states": ["q"], "initial": ["1"], "events": {"a": [["0.5"]]}}
+
+
+@pytest.mark.parametrize("kind, doc, field", [
+    ("model", {**ONE_STATE, "initial": 5}, "'initial'"),
+    ("model", {**ONE_STATE, "marked": 5}, "'marked'"),
+    ("model", {**ONE_STATE, "semantics": "bogus"}, "'semantics'"),
+    ("model", {**ONE_STATE, "events": {"a": 5}}, "event 'a' grid"),
+    ("model", {**ONE_STATE, "events": {"a": [5]}}, "event 'a' grid"),
+    ("model", {**ONE_STATE, "uncontrollability": ["a"]}, "'uncontrollability'"),
+    ("attributes", {"kind": "attributes", "uncontrollability": ["a"]}, "'uncontrollability'"),
+    ("supervisor", {"kind": "supervisor", "mode": "explicit", "alphabet": ["a"], "table": [1]}, "'table'"),
+])
+def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
+    """A field of the wrong type is a parse error that names the document
+    and the field, not a traceback."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(ONE_STATE))
+    bad.write_text(json.dumps(doc))
+    args = {
+        "model": ("reach", bad),
+        "attributes": ("check", good, good, "--attrs", bad),
+        "supervisor": ("eval", bad, good, "a"),
+    }[kind]
+    result = invoke(*args)
+    assert_clean_exit(result, 2)
+    assert f"error: {bad}: {field}" in result.output
+
+
 def permutation_model(tmp_path):
     """A 28-state max-min model with one event permuting the states in cycles
     of 2, 3, 5, 7 and 11 and distinct initial degrees: its state returns only

@@ -7,6 +7,7 @@ import pytest
 import oracles
 import fdes.algebra
 import fdes.automaton
+import fdes.supervisory
 from fdes.algebra import ONE, ZERO, Semantics, max_element
 from fdes.automaton import FuzzyAutomaton, generated_degree, step, string_to_text
 from fdes.errors import AlphabetMismatch, ParseError, SemanticsMismatch, StringNotInLanguage, UnknownEvent
@@ -345,7 +346,7 @@ def test_supervisor_rows_equal_their_replay_definition_random():
     for _, g, h, _, attrs in random_supervised_instances(51, 30):
         witnesses = oracles.pairs_oracle(g, h)[2].values()
         for sup in (synthesize_supervisor(g, h, attrs), SynthesizedSupervisor(g, attrs, spec_automaton=h)):
-            assert sup.rows() == [(w, {e: sup.enablement_degree(w, e) for e in g.alphabet}) for w in witnesses]
+            assert sup.rows() == [(w, {e: oracles.enablement_by_replay(sup, w, e) for e in g.alphabet}) for w in witnesses]
 
 
 def test_check_rows_equal_per_witness_steps_random():
@@ -362,9 +363,10 @@ def test_check_rows_equal_per_witness_steps_random():
 
 
 def test_supervised_walks_equal_their_replay_definition_random():
-    """check_nonblocking's direct comparison, controlled_generated_degree and
-    the bounded admissibility walk, for supervisors of g itself (read off g's
-    fuzzy states) and of another plant (replayed)."""
+    """check_nonblocking's direct comparison, controlled_generated_degree,
+    the bounded admissibility walk, prk_degree and enablement_degree, for
+    supervisors of g itself and of another plant, from automaton and
+    language specs."""
     outcomes = set()
     for rng, g, h, k, attrs in random_supervised_instances(53, 25):
         twin = FuzzyAutomaton(g.state_labels, dict(g.events), g.initial, g.marked, g.semantics)
@@ -386,6 +388,9 @@ def test_supervised_walks_equal_their_replay_definition_random():
             strings = oracles.strings_up_to(g.alphabet, 3)
             for s in rng.sample(strings, min(8, len(strings))):
                 assert controlled_generated_degree(sup, g, s) == oracles.controlled_degree_by_replay(sup, g, s)
+                assert sup.prk_degree(s) == oracles.prk_by_replay(sup, s)
+                for e in g.alphabet:
+                    assert sup.enablement_degree(s, e) == oracles.enablement_by_replay(sup, s, e)
             res = check_admissibility(sup, g, other_attrs, n=2)
             assert (res.ok, res.counterexample) == oracles.admissibility_by_replay(sup, g, other_attrs, 2)
             outcomes.add(res.ok)
@@ -399,12 +404,17 @@ def report_rows(report):
 def test_support_walks_equal_their_replay_definition_random():
     """The paths over pr(K)'s support (language check, sufficient condition,
     language-spec rows, nonblocking conditions) on max-min and max-product
-    plants, against plain Fraction replays from the initial vector."""
-    outcomes = set()
+    plants, against plain Fraction replays from the initial vector.  The last
+    instances give g an event it never takes, so K leaves L(G) wherever its
+    support uses that event."""
+    outcomes, left = set(), set()
     for semantics in (Semantics.MAX_MIN, Semantics.MAX_PRODUCT):
         rng = random.Random(61)
-        for i in range(30):
+        for i in range(40):
             g = oracles.random_automaton(rng, semantics=semantics, marked=True)
+            if i >= 30:
+                never = ((ZERO,) * g.dim,) * g.dim
+                g = FuzzyAutomaton(g.state_labels, {**g.events, g.alphabet[-1]: never}, g.initial, g.marked, semantics)
             k = oracles.random_language(rng, g.alphabet, max_len=3, max_support=8)
             if i % 2:  # K = pr(K) ∩ L(G,m) holds for this K, so condition (a) passes
                 k = k.with_degrees(
@@ -433,7 +443,14 @@ def test_support_walks_equal_their_replay_definition_random():
                 assert f"at {string_to_text(over_m)} " in contained[0]
             assert (nb.direct_ok, nb.direct_witness) == oracles.direct_nonblocking_by_replay(sup, g, 3)
             outcomes.update([(semantics, "sufficient", sufficient), (semantics, "a", a_fail is None)])
+            if any(oracles.replay_generated(g, s) == ZERO for s in oracles.prefix_support(k)):
+                left.update([(semantics, "sufficient", sufficient), (semantics, "a", a_fail is None)])
     assert len(outcomes) == 8  # both verdicts of both conditions under both semantics
+    # both verdicts of the sufficient condition where K leaves L(G); (a) cannot hold there, as L(G,m) ⊆ L(G)
+    assert left == {
+        (semantics, *outcome) for semantics in (Semantics.MAX_MIN, Semantics.MAX_PRODUCT)
+        for outcome in [("sufficient", True), ("sufficient", False), ("a", False)]
+    }
 
 
 def test_check_n_rows_equal_fraction_replay_random():
@@ -478,7 +495,7 @@ def test_controlled_degree_rejects_undeclared_events(two_state, attrs_two_state)
 
 
 def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, chain):
-    """The pair-class paths read successors off the pair graph, and the walks
+    """The pair-class paths read successors off the pair walk, and the walks
     over pr(K)'s support and over strings read L_G and L_G,m from the plant
     state they carry.  A supervisor of another plant, or of an equal plant
     whose events are declared in another order, carries its own walk on its
@@ -527,6 +544,50 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
             check_nonblocking(sup, plant, k_g, attrs_two_state)
             controlled_generated_degree(sup, plant, plant.alphabet * 2)
             sup.enablement_degree(plant.alphabet, plant.alphabet[0])
+
+
+def test_supervisor_walks_step_each_transition_once(monkeypatch, two_state, attrs_two_state):
+    """A synthesized supervisor keeps the pair walk its synthesis checked:
+    its rows step no table, and bounded admissibility and then nonblocking
+    step its plant's and its spec's tables once per distinct (pair, σ) its
+    walk meets.  One supervisor is of an equal plant with its events
+    declared in another order, one of an equal plant from a language spec."""
+    fresh = lambda a: FuzzyAutomaton(a.state_labels, dict(a.events), a.initial, a.marked, a.semantics)
+    g, h = map(fresh, two_state)
+    reordered = FuzzyAutomaton(g.state_labels, dict(reversed(g.events.items())), g.initial, g.marked, g.semantics)
+    plant = fresh(g)
+    k = FiniteSupportFuzzyLanguage(g.alphabet, {(): ONE, ("a1",): F(1, 2), ("a1", "a2"): F(1, 2), ("a2",): F(1, 5)})
+    attrs = attrs_two_state
+    steps = {}
+
+    def counting(step):
+        def spy(table, state, sigma):
+            steps[id(table)] = steps.get(id(table), 0) + 1
+            return step(table, state, sigma)
+        return spy
+
+    monkeypatch.setattr(fdes.automaton.RankTable, "step", counting(fdes.automaton.RankTable.step))
+    monkeypatch.setattr(fdes.supervisory._LanguageTable, "step", counting(fdes.supervisory._LanguageTable.step))
+
+    support = oracles.prefix_support(k)
+    strings = oracles.strings_up_to(g.alphabet, 6) + support
+    cases = [
+        # every pair the checks meet is reachable, so the synthesis check met them all
+        (lambda: synthesize_supervisor(reordered, h, attrs), len(oracles.pairs_oracle(reordered, h)[0])),
+        # the spec state of s is s in pr(K)'s support and one absorbing state outside
+        (lambda: synthesize_supervisor(plant, k, attrs),
+         len({(oracles.fraction_run(plant, s), s if s in support else None) for s in strings})),
+    ]
+    for synthesize, pairs in cases:
+        steps.clear()
+        sup = synthesize()
+        own = dict(steps)  # the plant and spec tables of sup's walk, the only tables synthesis steps
+        assert len(own) == 2
+        sup.rows()
+        assert steps == own
+        assert check_admissibility(sup, g, attrs).domain == "strings of length ≤ 6"
+        check_nonblocking(sup, g, k, attrs)
+        assert {t: steps[t] for t in own} == {t: pairs * len(g.alphabet) for t in own}
 
 
 # --- round trip -----------------------------------------------------------------------
