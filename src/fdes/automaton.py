@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import algebra
 from .algebra import Semantics, ZERO, ONE
@@ -84,7 +84,7 @@ class FuzzyAutomaton:
         try:
             return self.events[e]
         except KeyError:
-            raise UnknownEvent(f"event {e!r} not declared (alphabet: {list(self.events)})") from None
+            raise _unknown(e, self.events) from None
 
     def is_crisp(self) -> bool:
         values = set(self.initial)
@@ -101,7 +101,8 @@ class FuzzyAutomaton:
         cached.
 
         The automaton is treated as immutable once built: reassigning its
-        vectors or matrices afterwards leaves a stale table behind.
+        vectors or matrices afterwards leaves a stale table behind, and under
+        max-min a stale memo of every step already taken.
         """
         table = self.__dict__.get("_table")
         if table is None:
@@ -119,46 +120,80 @@ def _degrees(g: FuzzyAutomaton) -> set:
     return degrees
 
 
+def _unknown(e: str, alphabet: Iterable[str]) -> UnknownEvent:
+    return UnknownEvent(f"event {e!r} not declared (alphabet: {list(alphabet)})")
+
+
 def _columns(table, e: str) -> tuple:
     try:
         return table.columns[e]
     except KeyError:
-        raise UnknownEvent(f"event {e!r} not declared (alphabet: {list(table.columns)})") from None
+        raise _unknown(e, table.columns) from None
 
 
 class RankTable:
-    """A max-min automaton in integer rank space.
+    """A max-min automaton in integer rank space, determinized as it is walked.
 
     A max-min product only ever picks one of its inputs, so every state
     reachable from q̃0 holds degrees drawn from `initial` and the event
     matrices.  Replacing each degree by its rank among those degrees turns
     min and max over Fractions into min and max over ints; `decode` maps a
-    rank vector back to the Fraction vector it stands for.
+    state back to the Fraction vector it stands for.
+
+    There are finitely many such rank vectors, so the table numbers each
+    one the first time a step meets it: a state is that number, and two
+    states are equal exactly when their vectors are.  Each successor is kept
+    in a per-event list indexed by state, so a (state, σ) step is computed
+    once for the life of the automaton and is a list lookup after; the memo
+    is bounded by the reachable states × |Σ|.  Like the table itself, the
+    memo assumes the automaton is not changed once built.
     """
 
-    __slots__ = ("values", "initial", "columns")
+    __slots__ = ("values", "initial", "columns", "vectors", "ids", "successors")
 
     def __init__(self, g: FuzzyAutomaton):
         # the sorted distinct degrees; rank r stands for values[r]
         self.values: Tuple[Fraction, ...] = tuple(sorted(_degrees(g)))
         rank = {d: r for r, d in enumerate(self.values)}
-        self.initial: Tuple[int, ...] = tuple(rank[d] for d in g.initial)
         # event -> column j as the ranks of m[l][j]
         self.columns: Dict[str, Tuple[Tuple[int, ...], ...]] = {
             e: tuple(tuple(rank[d] for d in col) for col in zip(*m)) for e, m in g.events.items()
         }
+        start = tuple(rank[d] for d in g.initial)
+        self.vectors: List[Tuple[int, ...]] = [start]  # state -> its rank vector
+        self.ids: Dict[Tuple[int, ...], int] = {start: 0}
+        # event -> state -> successor state, None until first stepped
+        self.successors: Dict[str, List[Optional[int]]] = {e: [None] for e in self.columns}
+        self.initial = 0
 
-    def step(self, r: tuple, e: str) -> tuple:
-        """One max-min transition of the rank vector r."""
-        return tuple([max(map(min, r, col)) for col in _columns(self, e)])
+    def step(self, q: int, e: str) -> int:
+        """One max-min transition of state q."""
+        try:
+            nxt = self.successors[e][q]
+        except KeyError:
+            raise _unknown(e, self.columns) from None
+        return self._successor(q, e) if nxt is None else nxt
 
-    def top(self, r: tuple) -> Fraction:
-        """L_G̃ of the strings that lead to r: its largest degree."""
-        return self.values[max(r)]
+    def _successor(self, q: int, e: str) -> int:
+        """Compute, number and keep the successor of q under e."""
+        r = self.vectors[q]
+        v = tuple([max(map(min, r, col)) for col in self.columns[e]])
+        nxt = self.ids.get(v)
+        if nxt is None:
+            nxt = self.ids[v] = len(self.vectors)
+            self.vectors.append(v)
+            for successors in self.successors.values():
+                successors.append(None)
+        self.successors[e][q] = nxt
+        return nxt
 
-    def decode(self, r: tuple) -> tuple:
+    def top(self, q: int) -> Fraction:
+        """L_G̃ of the strings that lead to q: its largest degree."""
+        return self.values[max(self.vectors[q])]
+
+    def decode(self, q: int) -> tuple:
         values = self.values
-        return tuple([values[x] for x in r])
+        return tuple([values[x] for x in self.vectors[q]])
 
 
 class ScaledTable:

@@ -72,6 +72,19 @@ def _require(ok: bool, where: str, what: str) -> None:
         raise ParseError(f"{where}: {what}")
 
 
+def _alphabet(doc: dict, where: str) -> tuple:
+    alphabet = _field(doc, "alphabet", where)
+    _require(isinstance(alphabet, list), where, "'alphabet' must be a list of event names")
+    return tuple(alphabet)
+
+
+def _object(doc: dict, name: str, where: str) -> dict:
+    """A field holding a nested document, which must be an object."""
+    sub = _field(doc, name, where)
+    _require(isinstance(sub, dict), where, f"{name!r} must be an object")
+    return sub
+
+
 # ---------------------------------------------------------------------------
 # models
 
@@ -148,12 +161,12 @@ def model_to_doc(g: FuzzyAutomaton, attrs: Optional[EventAttributes] = None) -> 
 
 
 def parse_language_doc(doc: dict, where: str = "language") -> FiniteSupportFuzzyLanguage:
-    alphabet = _field(doc, "alphabet", where)
+    alphabet = _alphabet(doc, where)
     degrees = _field(doc, "degrees", where)
     if not isinstance(degrees, dict):
         raise ParseError(f"{where}: 'degrees' must map strings to degrees")
     return FiniteSupportFuzzyLanguage(
-        tuple(alphabet),
+        alphabet,
         {string_from_text(text): parse_degree(d) for text, d in degrees.items()},
     )
 
@@ -235,10 +248,10 @@ def supervisor_to_doc(sup: Supervisor) -> dict:
 def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
     mode = _field(doc, "mode", where)
     if mode == "synthesized":
-        plant, _ = parse_model_doc(_field(doc, "plant", where), where=f"{where}.plant")
-        attrs = parse_attributes_doc(_field(doc, "attributes", where), where=f"{where}.attributes")
-        spec_a = doc.get("spec_automaton")
-        spec_l = doc.get("spec_language")
+        plant, _ = parse_model_doc(_object(doc, "plant", where), where=f"{where}.plant")
+        attrs = parse_attributes_doc(_object(doc, "attributes", where), where=f"{where}.attributes")
+        spec_a = doc.get("spec_automaton") and _object(doc, "spec_automaton", where)
+        spec_l = doc.get("spec_language") and _object(doc, "spec_language", where)
         return SynthesizedSupervisor(
             plant,
             attrs,
@@ -251,7 +264,7 @@ def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
         _require(isinstance(table, dict) and all(isinstance(row, dict) for row in table.values()), where,
                  "'table' must map strings to rows of event degrees")
         return ExplicitSupervisor(
-            alphabet=tuple(_field(doc, "alphabet", where)),
+            alphabet=_alphabet(doc, where),
             table={string_from_text(text): dict(row) for text, row in table.items()},
             default=doc.get("default", "0"),
         )

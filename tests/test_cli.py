@@ -410,6 +410,9 @@ ONE_STATE = {"kind": "model", "semantics": "max-min", "states": ["q"], "initial"
     ("model", {**ONE_STATE, "uncontrollability": ["a"]}, "'uncontrollability'"),
     ("attributes", {"kind": "attributes", "uncontrollability": ["a"]}, "'uncontrollability'"),
     ("supervisor", {"kind": "supervisor", "mode": "explicit", "alphabet": ["a"], "table": [1]}, "'table'"),
+    ("language", {"kind": "language", "alphabet": 5, "degrees": {"": "1"}}, "'alphabet'"),
+    ("supervisor", {"kind": "supervisor", "mode": "explicit", "alphabet": 5, "table": {}}, "'alphabet'"),
+    ("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": 5}, "'plant'"),
 ])
 def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
     """A field of the wrong type is a parse error that names the document
@@ -420,6 +423,7 @@ def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
     args = {
         "model": ("reach", bad),
         "attributes": ("check", good, good, "--attrs", bad),
+        "language": ("check", good, bad),
         "supervisor": ("eval", bad, good, "a"),
     }[kind]
     result = invoke(*args)
