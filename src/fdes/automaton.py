@@ -102,7 +102,9 @@ class FuzzyAutomaton:
 
         The automaton is treated as immutable once built: reassigning its
         vectors or matrices afterwards leaves a stale table behind, and under
-        max-min a stale memo of every step already taken.
+        max-min a stale memo of every step already taken.  That memo holds
+        every state any walk of the automaton has met, for as long as the
+        automaton lives.
         """
         table = self.__dict__.get("_table")
         if table is None:
@@ -147,6 +149,11 @@ class RankTable:
     once for the life of the automaton and is a list lookup after; the memo
     is bounded by the reachable states × |Σ|.  Like the table itself, the
     memo assumes the automaton is not changed once built.
+
+    The memo is never freed while the automaton lives: every state that any
+    walk met stays on the table, including those of a search that raised or
+    was interrupted.  A caller that keeps an automaton keeps that memory;
+    dropping the automaton (or building a fresh one) releases it.
     """
 
     __slots__ = ("values", "initial", "columns", "vectors", "ids", "successors")

@@ -250,13 +250,15 @@ def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
     if mode == "synthesized":
         plant, _ = parse_model_doc(_object(doc, "plant", where), where=f"{where}.plant")
         attrs = parse_attributes_doc(_object(doc, "attributes", where), where=f"{where}.attributes")
-        spec_a = doc.get("spec_automaton") and _object(doc, "spec_automaton", where)
-        spec_l = doc.get("spec_language") and _object(doc, "spec_language", where)
+        spec_a = doc.get("spec_automaton")
+        spec_l = doc.get("spec_language")
+        _require(spec_a is None or isinstance(spec_a, dict), where, "'spec_automaton' must be an object")
+        _require(spec_l is None or isinstance(spec_l, dict), where, "'spec_language' must be an object")
         return SynthesizedSupervisor(
             plant,
             attrs,
-            spec_automaton=parse_model_doc(spec_a, where=f"{where}.spec_automaton")[0] if spec_a else None,
-            spec_language=parse_language_doc(spec_l, where=f"{where}.spec_language") if spec_l else None,
+            spec_automaton=parse_model_doc(spec_a, where=f"{where}.spec_automaton")[0] if spec_a is not None else None,
+            spec_language=parse_language_doc(spec_l, where=f"{where}.spec_language") if spec_l is not None else None,
             check_passed=doc.get("check_passed"),
         )
     if mode == "explicit":

@@ -413,6 +413,9 @@ ONE_STATE = {"kind": "model", "semantics": "max-min", "states": ["q"], "initial"
     ("language", {"kind": "language", "alphabet": 5, "degrees": {"": "1"}}, "'alphabet'"),
     ("supervisor", {"kind": "supervisor", "mode": "explicit", "alphabet": 5, "table": {}}, "'alphabet'"),
     ("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": 5}, "'plant'"),
+    ("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": ONE_STATE,
+                    "attributes": {"kind": "attributes", "uncontrollability": {}}, "spec_automaton": 0},
+     "'spec_automaton'"),
 ])
 def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
     """A field of the wrong type is a parse error that names the document
