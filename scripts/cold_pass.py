@@ -41,7 +41,7 @@ def main():
             wl.load(lead + pool)
             scaled += run.timed_pass(wl, lead + pool, verifier)[1]
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "correct": verifier.failed == 0, "attempted": verifier.attempted,
+                      "correct": verifier.failed == 0, "attempted": verifier.attempted, "failed": verifier.failed,
                       "metrics": run.time_metrics(scaled)}))
 
 

@@ -91,20 +91,19 @@ def _graph_json(graph) -> dict:
             {"index": i, "s": " ".join(graph.witness[i]), "state": state_json(label)}
             for i, label in enumerate(graph.nodes)
         ],
-        "edges": [
-            {"from": i, "event": e, "to": j} for (i, e), j in sorted(
-                graph.edges.items(), key=lambda kv: (kv[0][0], graph.events.index(kv[0][1]))
-            )
-        ],
+        "edges": [{"from": i, "event": e, "to": j} for (i, e), j in graph.edges.items()],
     }
 
 
-def _graph_out(graph, fmt, out, title) -> None:
-    """Emit a reachable-state or pair listing as JSON, DOT or a text table."""
+def _graph_out(graph, fmt, out, verbose, noun) -> None:
+    """Emit a reachable-state or pair listing as JSON, DOT or a text table,
+    with its count of nodes on stderr if verbose; noun is "state" or "pair"."""
+    if verbose:
+        click.echo(f"{len(graph.nodes)} distinct {noun}(s)", err=True)
     if fmt == "json":
         emit_json(_graph_json(graph), out)
     elif fmt == "dot":
-        emit(reachability.graph_to_dot(graph, title=title), out)
+        emit(reachability.graph_to_dot(graph, title=f"reachable_{noun}s"), out)
     else:
         rows = [("s", "state")] + [
             (string_to_text(graph.witness[i]), reachability.format_label(label))
@@ -125,9 +124,7 @@ def reach(model, depth, fmt, out, verbose):
     depth = _resolve_depth(depth)
     g, _ = model_io.parse_model(model)
     graph = reachability.enumerate_states(g, depth)
-    if verbose:
-        click.echo(f"{len(graph.nodes)} distinct state(s)", err=True)
-    _graph_out(graph, fmt, out, "reachable_states")
+    _graph_out(graph, fmt, out, verbose, "state")
 
 
 @main.command()
@@ -144,9 +141,7 @@ def pairs(model_g, model_h, depth, fmt, out, verbose):
     g, _ = model_io.parse_model(model_g)
     h, _ = model_io.parse_model(model_h)
     graph = reachability.enumerate_pairs(g, h, depth)
-    if verbose:
-        click.echo(f"{len(graph.nodes)} distinct pair(s)", err=True)
-    _graph_out(graph, fmt, out, "reachable_pairs")
+    _graph_out(graph, fmt, out, verbose, "pair")
 
 
 def _tree_text(root) -> list:
@@ -242,13 +237,23 @@ def _load_attrs(attrs_path: Optional[str], inline: Optional[EventAttributes], al
     return attrs
 
 
-def _report_out(report, fmt, out, first_failure):
-    shown = report.through_first_failure() if first_failure else report
+def _load_check(model_g: str, spec: str, attrs_path: Optional[str]):
+    """(plant, spec model or language, attributes) of a check or synthesis."""
+    g, inline = model_io.parse_model(model_g)
+    spec_obj = _load_spec(spec)
+    return g, spec_obj, _load_attrs(attrs_path, inline, g.alphabet)
+
+
+def _verdict_out(report, ok: bool, fmt, out) -> None:
+    """Echo the report's warnings to stderr, emit it as JSON or text, and
+    exit 0 if the verdict holds, 1 if not."""
+    for w in report.warnings:
+        click.echo(f"warning: {w}", err=True)
     if fmt == "json":
-        emit_json(shown.to_dict(), out)
+        emit_json(report.to_dict(), out)
     else:
-        emit(shown.render_text(), out)
-    sys.exit(0 if report.overall else 1)
+        emit(report.render_text(), out)
+    sys.exit(0 if ok else 1)
 
 
 @main.command()
@@ -261,16 +266,12 @@ def _report_out(report, fmt, out, first_failure):
 @guarded
 def check(model_g, spec, attrs_path, fmt, first_failure, out):
     """Check the controllability condition (exact; spec = model or language)."""
-    g, inline = model_io.parse_model(model_g)
-    spec_obj = _load_spec(spec)
-    attrs = _load_attrs(attrs_path, inline, g.alphabet)
+    g, spec_obj, attrs = _load_check(model_g, spec, attrs_path)
     if isinstance(spec_obj, fl.FiniteSupportFuzzyLanguage):
         report = supervisory.check_language_controllability(g, spec_obj, attrs)
     else:
         report = supervisory.check_controllability(g, spec_obj, attrs)
-    for w in report.warnings:
-        click.echo(f"warning: {w}", err=True)
-    _report_out(report, fmt, out, first_failure)
+    _verdict_out(report.through_first_failure() if first_failure else report, report.overall, fmt, out)
 
 
 @main.command("check-n")
@@ -285,14 +286,12 @@ def check(model_g, spec, attrs_path, fmt, first_failure, out):
 @guarded
 def check_n(model_g, spec, n, attrs_path, fmt, first_failure, out, verbose):
     """Check the n-bounded controllability condition (works for max-product)."""
-    g, inline = model_io.parse_model(model_g)
-    spec_obj = _load_spec(spec)
-    attrs = _load_attrs(attrs_path, inline, g.alphabet)
+    g, spec_obj, attrs = _load_check(model_g, spec, attrs_path)
     progress = (lambda count: click.echo(f"\r{count} rows", err=True, nl=False)) if verbose else None
     report = supervisory.check_n_controllability(g, spec_obj, attrs, n, progress=progress)
     if verbose:
         click.echo("", err=True)
-    _report_out(report, fmt, out, first_failure)
+    _verdict_out(report.through_first_failure() if first_failure else report, report.overall, fmt, out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +306,7 @@ def check_n(model_g, spec, n, attrs_path, fmt, first_failure, out, verbose):
 @guarded
 def synthesize(model_g, spec, attrs_path, out):
     """Synthesize the constructive supervisor and emit it as JSON."""
-    g, inline = model_io.parse_model(model_g)
-    spec_obj = _load_spec(spec)
-    attrs = _load_attrs(attrs_path, inline, g.alphabet)
+    g, spec_obj, attrs = _load_check(model_g, spec, attrs_path)
     if isinstance(spec_obj, FuzzyAutomaton) and g.semantics is spec_obj.semantics is Semantics.MAX_PRODUCT:
         # a max-product pair has no finite enablement table to emit; fail before the bounded check
         require_same_alphabet(g, spec_obj)
@@ -358,7 +355,7 @@ def eval_cmd(supervisor, model_g, string, fmt, out):
 @click.argument("model_g", type=click.Path())
 @click.argument("lang_k", type=click.Path())
 @click.option("--attrs", "attrs_path", type=click.Path(), default=None)
-@depth_option
+@click.option("--depth", type=int, default=None, help="Longest string compared directly (default: longest in pr(K) plus 2).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @out_option
 @guarded
@@ -368,36 +365,25 @@ def nonblock(supervisor, model_g, lang_k, attrs_path, depth, fmt, out):
     g, inline = model_io.parse_model(model_g)
     k = model_io.parse_language(lang_k)
     attrs = _load_attrs(attrs_path, inline, g.alphabet)
-    report = supervisory.check_nonblocking(sup, g, k, attrs, depth=_resolve_depth(depth))
-    for w in report.warnings:
-        click.echo(f"warning: {w}", err=True)
-    if fmt == "json":
-        emit_json(report.to_dict(), out)
-    else:
-        emit(report.render_text(), out)
-    sys.exit(0 if report.nonblocking else 1)
+    report = supervisory.check_nonblocking(sup, g, k, attrs, depth=depth)
+    _verdict_out(report, report.nonblocking, fmt, out)
 
 
 # ---------------------------------------------------------------------------
 # language lattice
 
 
-def _lattice_cmd(op):
-    def command(lang_k, lang_m, attrs_path, fmt, out):
-        k = model_io.parse_language(lang_k)
-        m = model_io.parse_language(lang_m)
-        attrs = model_io.parse_attributes(attrs_path)
-        result = op(k, m, attrs)
-        if fmt == "text":
-            lines = [
-                f"{string_to_text(s)} -> {format_degree(d)}"
-                for s, d in sorted(result.degrees.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ]
-            emit("\n".join(lines) + "\n" if lines else "(the zero language)\n", out)
-        else:
-            emit_json(model_io.language_to_doc(result), out)
-
-    return command
+def _lattice_out(op, lang_k, lang_m, attrs_path, fmt, out) -> None:
+    """Apply a closure op(K, M, attrs) and emit the language as text rows or JSON."""
+    k = model_io.parse_language(lang_k)
+    m = model_io.parse_language(lang_m)
+    attrs = model_io.parse_attributes(attrs_path)
+    result = op(k, m, attrs)
+    if fmt == "text":
+        lines = [f"{string_to_text(s)} -> {format_degree(result(s))}" for s in result.support()]
+        emit("\n".join(lines) + "\n" if lines else "(the zero language)\n", out)
+    else:
+        emit_json(model_io.language_to_doc(result), out)
 
 
 @main.command()
@@ -409,7 +395,7 @@ def _lattice_cmd(op):
 @guarded
 def suplang(lang_k, lang_m, attrs_path, fmt, out):
     """Compute the supremal controllable sublanguage of K within M."""
-    _lattice_cmd(fl.supremal_controllable_sublanguage)(lang_k, lang_m, attrs_path, fmt, out)
+    _lattice_out(fl.supremal_controllable_sublanguage, lang_k, lang_m, attrs_path, fmt, out)
 
 
 @main.command()
@@ -421,7 +407,7 @@ def suplang(lang_k, lang_m, attrs_path, fmt, out):
 @guarded
 def inflang(lang_k, lang_m, attrs_path, fmt, out):
     """Compute the infimal prefix-closed controllable superlanguage of K."""
-    _lattice_cmd(fl.infimal_prefix_closed_superlanguage)(lang_k, lang_m, attrs_path, fmt, out)
+    _lattice_out(fl.infimal_prefix_closed_superlanguage, lang_k, lang_m, attrs_path, fmt, out)
 
 
 # ---------------------------------------------------------------------------

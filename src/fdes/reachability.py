@@ -135,7 +135,7 @@ def build_pair_computing_tree(
 @dataclass
 class ReachableStateGraph:
     nodes: Tuple[tuple, ...]
-    edges: Dict[Tuple[int, str], int]
+    edges: Dict[Tuple[int, str], int]  # in (node, event) order, as the BFS met them
     witness: Dict[int, Tuple[str, ...]]
     events: Tuple[str, ...]
 
@@ -263,7 +263,7 @@ def graph_to_dot(graph: ReachableStateGraph, title: str = "reachable_states") ->
     lines = [f"digraph {title} {{", "  node [shape=box];"]
     for i, label in enumerate(graph.nodes):
         lines.append(f'  s{i} [label="{format_label(label)}"];')
-    for (i, e), j in sorted(graph.edges.items(), key=lambda kv: (kv[0][0], graph.events.index(kv[0][1]))):
+    for (i, e), j in graph.edges.items():
         lines.append(f'  s{i} -> s{j} [label="{e}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

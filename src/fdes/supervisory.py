@@ -29,13 +29,14 @@ inequality and, on first use, S̃(s)(σ).  A language spec's table state is
 the string while it stays in pr(K̃)'s support and one absorbing state
 after, so it too repeats as strings grow.  The exact checks, a synthesized
 supervisor's rows and exact admissibility read the walk's domain: pr(K̃)'s
-support for a language spec, the reachable pair classes for a max-min
-automaton spec.  The bounded check, bounded admissibility and the
-nonblocking comparison go over all strings of length ≤ n (`_strings`),
-each string's state stepped from its parent's, so none replays from q̃0;
-there a synthesized supervisor's state (`walk`) is its pair id, and a
-transition met again is a dict hit.  Reports render each distinct degree
-once per call.
+support for a language spec, the pair classes the reachability BFS finds
+for a max-min automaton spec.  The other checks go over all strings of
+length ≤ n (`_strings`), each string's state stepped from its parent's:
+the bounded check carries pair ids and emits |Σ| rows per string, and
+bounded admissibility and the nonblocking comparison step the controlled
+system (`_controlled`), where a synthesized supervisor's state is its pair
+id and a transition met again is a dict hit.  Reports render each
+distinct degree once per call.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _finish(rows: List[ReportRow], warnings: List[str], n: Optional[int] = None)
 
 def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iterator[Tuple[EventString, object]]:
     """(s, state) for every string s of length ≤ depth, level by level with
-    events in alphabet order; step(state, s, σ) gives the state of s·σ from
+    events in alphabet order; step(state, σ) gives the state of s·σ from
     that of s.  One level is held for the next, and the last one not at all."""
     level = [((), start)]
     yield level[0]
@@ -178,7 +179,7 @@ def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iter
         parents, level = level, []
         for s, state in parents:
             for sigma in alphabet:
-                child = (s + (sigma,), step(state, s, sigma))
+                child = (s + (sigma,), step(state, sigma))
                 yield child
                 if length < depth:
                     level.append(child)
@@ -288,14 +289,8 @@ class _PairWalk(dict):
                     ids[s] = self[ids[s[:-1]], s[-1]][0] if s else 0
                 self._domain = {i: s for s, i in ids.items()}
             else:
-                witness = self._domain = {0: ()}
-                queue = [0]
-                for i in queue:
-                    for sigma in self.alphabet:
-                        j = self[i, sigma][0]
-                        if j not in witness:
-                            witness[j] = witness[i] + (sigma,)
-                            queue.append(j)
+                graph = reachability._bfs(0, self.alphabet, lambda i, sigma: self[i, sigma][0], int, None)
+                self._domain = {i: graph.witness[k] for k, i in enumerate(graph.nodes)}
         return self._domain
 
 
@@ -368,18 +363,11 @@ def check_n_controllability(
     attrs.require_alphabet(g.alphabet)
     _require_matching_spec(g, spec)
     walk = _PairWalk(g, spec, attrs)
-
-    # the state of t = s·σ: (its pair id, the row of (s, σ)), so the walk goes to n + 1
-    def grow(state, s, sigma):
-        j, row = walk[state[0], sigma]
-        return j, ReportRow(s, sigma, *row)
-
     rows: List[ReportRow] = []
-    for t, (_, row) in _strings(n + 1, g.alphabet, (0, None), grow):
-        if t:
-            rows.append(row)
-            if progress is not None and len(rows) % len(g.alphabet) == 0:
-                progress(len(rows))
+    for s, i in _strings(n, g.alphabet, 0, lambda i, sigma: walk[i, sigma][0]):
+        rows.extend(ReportRow(s, sigma, *walk[i, sigma][1]) for sigma in g.alphabet)
+        if progress is not None:
+            progress(len(rows))
     return _finish(rows, [], n)
 
 
@@ -389,6 +377,7 @@ def check_sufficient_condition(
     """K̃(s·σ) ≥ min(Σ̃uc(σ), L_G̃(s·σ)) on pr(K̃)'s support — a stronger,
     cheaper condition that implies controllability."""
     attrs.require_alphabet(g.alphabet)
+    _require_matching_spec(g, k)
     walk = _PairWalk(g, k, attrs)
     return all(
         k(s + (sigma,)) >= min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]])
@@ -481,12 +470,11 @@ def synthesize_supervisor(
     g: FuzzyAutomaton,
     spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage],
     attrs: EventAttributes,
-    check_depth: int = CHECK_DEPTH,
 ) -> SynthesizedSupervisor:
     """Build the constructive supervisor; runs the matching controllability
     check first and flags the result (synthesis itself is total).  Only a
     max-product automaton spec is checked on bounded strings, to
-    `check_depth`; the other checks are exact and run on the supervisor's
+    `CHECK_DEPTH`; the other checks are exact and run on the supervisor's
     own walk."""
     _require_matching_spec(g, spec)
     if not isinstance(spec, FuzzyAutomaton):
@@ -494,22 +482,35 @@ def synthesize_supervisor(
     elif g.semantics is Semantics.MAX_MIN:
         sup = SynthesizedSupervisor(g, attrs, spec_automaton=spec)
     else:
-        report = check_n_controllability(g, spec, attrs, check_depth)
+        report = check_n_controllability(g, spec, attrs, CHECK_DEPTH)
         return SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
     _require_exact(g, spec, attrs)
     sup.check_passed = _exact_report(sup._walk).overall
     return sup
 
 
+def _controlled(sup: Supervisor, g: FuzzyAutomaton) -> Tuple[tuple, Callable[[tuple, str], tuple]]:
+    """(start, step) for `_strings` over the controlled system: the state of
+    a string t = s·σ is (g's table state, the supervisor's walk state,
+    L_G̃(t), S̃(s)(σ)), and the empty string's last two are 1."""
+    table = g.table()
+    start, follow = sup.walk()
+
+    def step(state, sigma):
+        v = table.step(state[0], sigma)
+        enabled, w = follow(state[1], sigma)
+        return v, w, table.top(v), enabled
+
+    return (table.initial, start, ONE, ONE), step
+
+
 def controlled_generated_degree(sup: Supervisor, g: FuzzyAutomaton, s: Sequence[str]) -> Fraction:
     """L_{S̃/G̃}: ε ↦ 1, then min(previous, L_G̃(s·σ), S̃(s)(σ)) along the string."""
-    state, follow = sup.walk()
-    table = g.table()
-    v, degree = table.initial, ONE
+    state, step = _controlled(sup, g)
+    degree = ONE
     for sigma in s:
-        v = table.step(v, sigma)
-        enabled, state = follow(state, sigma)
-        degree = min(degree, table.top(v), enabled)
+        state = step(state, sigma)
+        degree = min(degree, state[2], state[3])
     return degree
 
 
@@ -545,30 +546,26 @@ def check_admissibility(
         and (sup.plant is g or (sup.plant == g and sup.plant.alphabet == g.alphabet))
         and g.semantics is Semantics.MAX_MIN
     )
-    # (s, σ, required, provided) for each (s, σ) of the domain, in order
+    # (s·σ, required, provided) for each (s, σ) of the domain, in order
     if exact:
         domain = "exact (reachable pair classes)"
         walk = sup._walk
         checks = (
-            (s, sigma, min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]]), walk.enablement(i, sigma))
+            (s + (sigma,), min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]]), walk.enablement(i, sigma))
             for i, s in walk.domain().items()
             for sigma in g.alphabet
         )
     else:
         bound = 6 if n is None else n
         domain = f"strings of length ≤ {bound}"
-        start, follow = sup.walk()
-        table = g.table()
-
-        def grow(state, s, sigma):
-            v, w, _ = state
-            v = table.step(v, sigma)
-            provided, w = follow(w, sigma)
-            return v, w, (s, sigma, min(attrs.uc(sigma), table.top(v)), provided)
-
         # (s, σ) is checked at the string s·σ, one longer than s
-        checks = (c for t, (_, _, c) in _strings(bound + 1, g.alphabet, (table.initial, start, None), grow) if t)
-    violation = next((c for c in checks if c[2] > c[3]), None)
+        checks = (
+            (t, min(attrs.uc(t[-1]), lg), provided)
+            for t, (_, _, lg, provided) in _strings(bound + 1, g.alphabet, *_controlled(sup, g))
+            if t
+        )
+    t, required, provided = next((c for c in checks if c[1] > c[2]), ((), None, None))
+    violation = (t[:-1], t[-1], required, provided) if t else None
     return AdmissibilityResult(violation is None, violation, domain)
 
 
@@ -649,9 +646,8 @@ def check_nonblocking(
     if k(()) != ONE:
         warnings.append(f"K(ε) = {format_degree(k(()))}, expected 1")
     walk = _PairWalk(g, k, attrs)
-    table = walk.tg
     # L(G,m) of the strings that reach a table state, as walks meet states again
-    marked = lru_cache(maxsize=None)(lambda v: fa.marked_at(g, table.decode(v)))
+    marked = lru_cache(maxsize=None)(lambda v: fa.marked_at(g, walk.tg.decode(v)))
 
     # one pass over pr(K)'s support for the hypothesis pr(K) ⊆ L(G,m) and
     # (a)  K = pr(K) ∩ L(G,m), trivially 0 = 0 outside pr(K)'s support
@@ -673,23 +669,16 @@ def check_nonblocking(
     # direct bounded comparison for the supervisor actually given
     if depth is None:
         depth = max(map(len, walk.domain().values()), default=0) + 2
-    start, follow = sup.walk()
-
-    def grow(state, s, sigma):
-        v, degree, w = state
-        v = table.step(v, sigma)
-        enabled, w = follow(w, sigma)
-        return v, min(degree, table.top(v), enabled), w
-
+    # events in name order, so the strings come in the witness order: length, then names
     gen: Dict[EventString, Fraction] = {}
     pr_marked: Dict[EventString, Fraction] = {}
-    for s, (v, degree, _) in _strings(depth, g.alphabet, (table.initial, ONE, start), grow):
-        gen[s] = degree
-        pr_marked[s] = min(degree, marked(v))
-    for s in sorted(gen, key=len, reverse=True):
+    for s, (v, _, lg, enabled) in _strings(depth, sorted(g.alphabet), *_controlled(sup, g)):
+        gen[s] = min(gen[s[:-1]], lg, enabled) if s else ONE
+        pr_marked[s] = min(gen[s], marked(v))
+    for s in reversed(gen):  # longest first
         if s and pr_marked[s] > pr_marked[s[:-1]]:
             pr_marked[s[:-1]] = pr_marked[s]
-    direct_witness = next((s for s in sorted(gen, key=lambda t: (len(t), t)) if pr_marked[s] != gen[s]), None)
+    direct_witness = next((s for s in gen if pr_marked[s] != gen[s]), None)
     direct_ok = direct_witness is None
 
     return NonblockingReport(

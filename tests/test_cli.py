@@ -17,7 +17,7 @@ from fdes.cli import main
 FDES = shutil.which("fdes")
 
 
-def fdes(*args, env=None):
+def fdes(*args, env=None, timeout=None):
     if FDES:
         cmd = [FDES]
     else:
@@ -26,7 +26,7 @@ def fdes(*args, env=None):
     if env:
         merged.update(env)
     return subprocess.run(
-        cmd + [str(a) for a in args], capture_output=True, text=True, env=merged
+        cmd + [str(a) for a in args], capture_output=True, text=True, env=merged, timeout=timeout
     )
 
 
@@ -192,6 +192,21 @@ def test_depth_env_override():
     assert "depth 3" in res.stderr
     res = fdes("reach", path("maxprod_open.json"), env={"FDES_DEPTH_DEFAULT": "nope"})
     assert res.returncode == 2
+
+
+def test_nonblock_depth_is_not_the_enumeration_guard(tmp_path):
+    """FDES_DEPTH_DEFAULT guards the enumerations only: nonblock's string
+    depth defaults to the longest string of pr(K) plus 2, and --depth sets it."""
+    sup_path = tmp_path / "sup.json"
+    chain = [path("chain_plant.json"), path("chain_spec_language.json"), "--attrs", path("attrs_chain_nonblocking.json")]
+    assert fdes("synthesize", *chain, "--out", sup_path).returncode == 0
+    env = {"FDES_DEPTH_DEFAULT": "40"}
+    res = fdes("nonblock", sup_path, *chain, env=env, timeout=60)
+    assert res.returncode == 0
+    assert "[checked to depth 4]" in res.stdout
+    res = fdes("nonblock", sup_path, *chain, "--depth", "3", env=env, timeout=60)
+    assert res.returncode == 0
+    assert "[checked to depth 3]" in res.stdout
 
 
 def test_negative_depth_is_a_parse_error():

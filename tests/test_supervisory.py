@@ -136,6 +136,16 @@ def test_sufficient_condition(chain):
     assert check_language_controllability(g, closed, attrs_ok).overall
 
 
+def test_sufficient_condition_requires_a_matching_spec(chain):
+    """The spec precondition of every other check: a K over fewer events than
+    the plant's, or over an event the plant lacks, is an AlphabetMismatch."""
+    g, _, attrs_ok, _ = chain
+    for alphabet in (("a", "b"), ("a", "b", "c", "z")):
+        k = FiniteSupportFuzzyLanguage(alphabet, {(): ONE, alphabet[-1:]: F(1, 2)})
+        with pytest.raises(AlphabetMismatch):
+            check_sufficient_condition(g, k, attrs_ok)
+
+
 def test_sufficient_condition_implies_controllable():
     rng = random.Random(41)
     hits = 0
@@ -399,6 +409,48 @@ def test_supervised_walks_equal_their_replay_definition_random():
 
 def report_rows(report):
     return [(r.representative, r.event, r.prK_s, r.LG_s_sigma, r.sigma_uc, r.prK_s_sigma) for r in report.rows]
+
+
+def test_walks_on_alphabets_declared_against_name_order_random():
+    """Events declared in reverse name order (e2, e1, e0): the direct
+    nonblocking witness is the first diverging string by length and then
+    names, while bounded admissibility, the check-n rows and the pair
+    listing's edges follow the declaration order; each against its replay
+    oracle.  g's marked vector is 1 where its initial vector is, so ε is
+    not always the first divergence and the order of the witness shows."""
+    outcomes, checked = set(), 0
+    for rng, g, h, k, attrs in random_supervised_instances(71, 12):
+        if len(g.alphabet) < 2:
+            continue
+        checked += 1
+        names = {e: f"e{len(g.alphabet) - 1 - j}" for j, e in enumerate(g.alphabet)}
+
+        def rename(a, marked):
+            return FuzzyAutomaton(a.state_labels, {names[e]: m for e, m in a.events.items()}, a.initial, marked, a.semantics)
+
+        marked = tuple(ONE if d == ONE else rng.choice(oracles.HALF_STEPS) for d in g.initial)
+        g, h = rename(g, (marked,)), rename(h, ())
+        assert list(g.alphabet) != sorted(g.alphabet)
+        k = FiniteSupportFuzzyLanguage(g.alphabet, {tuple(names[e] for e in s): d for s, d in k.degrees.items()})
+        attrs = EventAttributes({names[e]: d for e, d in attrs.uncontrollability.items()})
+        other = random_plant_like(rng, g)
+        other_h = FuzzyAutomaton(other.state_labels, other.events, other.initial, (), other.semantics)
+        for sup in (synthesize_supervisor(g, h, attrs), synthesize_supervisor(g, k, attrs),
+                    synthesize_supervisor(other, other_h, attrs)):
+            report = check_nonblocking(sup, g, k, attrs, depth=3)
+            direct = oracles.direct_nonblocking_by_replay(sup, g, 3)
+            assert (report.direct_ok, report.direct_witness) == direct
+            res = check_admissibility(sup, g, attrs, n=2)
+            assert (res.ok, res.counterexample) == oracles.admissibility_by_replay(sup, g, attrs, 2)
+            outcomes.update([("direct", direct[0]), ("admissible", res.ok)])
+        strings = oracles.strings_up_to(g.alphabet, 3)
+        for spec in (h, k):
+            assert report_rows(check_n_controllability(g, spec, attrs, 3)) == oracles.check_rows_by_replay(
+                g, spec, attrs, strings
+            )
+        assert list(enumerate_pairs(g, h).edges.items()) == list(oracles.pairs_oracle(g, h)[1].items())
+    assert checked >= 10
+    assert outcomes == {(name, ok) for name in ("direct", "admissible") for ok in (True, False)}
 
 
 def test_support_walks_equal_their_replay_definition_random():
