@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import algebra
 from .algebra import Semantics, ZERO, ONE
@@ -87,29 +87,23 @@ class FuzzyAutomaton:
             raise _unknown(e, self.events) from None
 
     def is_crisp(self) -> bool:
-        values = set(self.initial)
-        for m in self.events.values():
-            for row in m:
-                values.update(row)
+        values = _degrees(self)
         for v in self.marked:
             values.update(v)
         return values <= {ZERO, ONE}
 
-    def table(self) -> Union[RankTable, ScaledTable]:
-        """The step table of the automaton's semantics (a `RankTable` under
-        max-min, a `ScaledTable` under max-product), built on first use and
-        cached.
+    def table(self) -> StepTable:
+        """The automaton's `StepTable`, built on first use and cached.
 
         The automaton is treated as immutable once built: reassigning its
-        vectors or matrices afterwards leaves a stale table behind, and under
-        max-min a stale memo of every step already taken.  That memo holds
-        every state any walk of the automaton has met, for as long as the
-        automaton lives.
+        vectors or matrices afterwards leaves a stale table behind, with a
+        stale memo of every step already taken.  Under either semantics that
+        memo holds every state any walk of the automaton has met, for as
+        long as the automaton lives.
         """
         table = self.__dict__.get("_table")
         if table is None:
-            kind = RankTable if self.semantics is Semantics.MAX_MIN else ScaledTable
-            table = self._table = kind(self)
+            table = self._table = StepTable(self)
         return table
 
 
@@ -126,107 +120,62 @@ def _unknown(e: str, alphabet: Iterable[str]) -> UnknownEvent:
     return UnknownEvent(f"event {e!r} not declared (alphabet: {list(alphabet)})")
 
 
-def _columns(table, e: str) -> tuple:
-    try:
-        return table.columns[e]
-    except KeyError:
-        raise _unknown(e, table.columns) from None
+class _Fractions(dict):
+    """(numerator, denominator) -> Fraction, each built on first lookup."""
+
+    def __missing__(self, key: Tuple[int, int]) -> Fraction:
+        value = self[key] = Fraction(*key)
+        return value
 
 
-class RankTable:
-    """A max-min automaton in integer rank space, determinized as it is walked.
-
-    A max-min product only ever picks one of its inputs, so every state
-    reachable from q̃0 holds degrees drawn from `initial` and the event
-    matrices.  Replacing each degree by its rank among those degrees turns
-    min and max over Fractions into min and max over ints; `decode` maps a
-    state back to the Fraction vector it stands for.
-
-    There are finitely many such rank vectors, so the table numbers each
-    one the first time a step meets it: a state is that number, and two
-    states are equal exactly when their vectors are.  Each successor is kept
-    in a per-event list indexed by state, so a (state, σ) step is computed
-    once for the life of the automaton and is a list lookup after; the memo
-    is bounded by the reachable states × |Σ|.  Like the table itself, the
-    memo assumes the automaton is not changed once built.
-
-    The memo is never freed while the automaton lives: every state that any
-    walk met stays on the table, including those of a search that raised or
-    was interrupted.  A caller that keeps an automaton keeps that memory;
-    dropping the automaton (or building a fresh one) releases it.
-    """
-
-    __slots__ = ("values", "initial", "columns", "vectors", "ids", "successors")
-
-    def __init__(self, g: FuzzyAutomaton):
-        # the sorted distinct degrees; rank r stands for values[r]
-        self.values: Tuple[Fraction, ...] = tuple(sorted(_degrees(g)))
-        rank = {d: r for r, d in enumerate(self.values)}
-        # event -> column j as the ranks of m[l][j]
-        self.columns: Dict[str, Tuple[Tuple[int, ...], ...]] = {
-            e: tuple(tuple(rank[d] for d in col) for col in zip(*m)) for e, m in g.events.items()
-        }
-        start = tuple(rank[d] for d in g.initial)
-        self.vectors: List[Tuple[int, ...]] = [start]  # state -> its rank vector
-        self.ids: Dict[Tuple[int, ...], int] = {start: 0}
-        # event -> state -> successor state, None until first stepped
-        self.successors: Dict[str, List[Optional[int]]] = {e: [None] for e in self.columns}
-        self.initial = 0
-
-    def step(self, q: int, e: str) -> int:
-        """One max-min transition of state q."""
-        try:
-            nxt = self.successors[e][q]
-        except KeyError:
-            raise _unknown(e, self.columns) from None
-        return self._successor(q, e) if nxt is None else nxt
-
-    def _successor(self, q: int, e: str) -> int:
-        """Compute, number and keep the successor of q under e."""
-        r = self.vectors[q]
-        v = tuple([max(map(min, r, col)) for col in self.columns[e]])
-        nxt = self.ids.get(v)
-        if nxt is None:
-            nxt = self.ids[v] = len(self.vectors)
-            self.vectors.append(v)
-            for successors in self.successors.values():
-                successors.append(None)
-        self.successors[e][q] = nxt
-        return nxt
-
-    def top(self, q: int) -> Fraction:
-        """L_G̃ of the strings that lead to q: its largest degree."""
-        return self.values[max(self.vectors[q])]
-
-    def decode(self, q: int) -> tuple:
-        values = self.values
-        return tuple([values[x] for x in self.vectors[q]])
-
-
-class ScaledTable:
-    """A max-product automaton on scaled integers.
+class StepTable:
+    """An automaton on integer numerators, determinized as it is walked.
 
     Every degree of `initial` and the event matrices is a multiple of 1/D,
-    D the lcm of their denominators, so the state after a string of length
-    k is an int vector over D^(k+1).  A state is the pair (numerators,
-    denominator) with the denominator a power of D, reduced by D while every
-    numerator divides: then two states are equal exactly when the Fraction
-    vectors they stand for are, and they can key sets and dicts.
+    D the lcm of their denominators, so a state is the pair (numerators,
+    denominator).  A max-min product only ever picks one of its inputs: its
+    min and max run on the numerators and the denominator stays D.  Such a
+    key is never reduced, or a min would compare numerators over different
+    denominators.  A max-product product multiplies the denominator by D,
+    and the key is reduced by D while every numerator divides: then two
+    states are equal exactly when the Fraction vectors they stand for are.
+
+    The table numbers each key the first time a step meets it: a state is
+    that number.  Each successor is kept in a per-event list indexed by
+    state, so a (state, σ) step is computed once for the life of the
+    automaton and is a list lookup after.  Like the table itself, the memo
+    assumes the automaton is not changed once built.
+
+    Under max-min there are finitely many keys, so the memo is bounded by
+    the reachable states × |Σ|.  Under max-product it is bounded only by the
+    walks: it keeps every state that any walk met, including those of a
+    search that raised or was interrupted, while the automaton lives.
+    Dropping the automaton (or building a fresh one) releases it.
     """
 
-    __slots__ = ("scale", "initial", "columns")
+    __slots__ = ("scale", "maxmin", "columns", "fractions", "keys", "ids", "tops", "successors", "initial")
 
     def __init__(self, g: FuzzyAutomaton):
-        scale = self.scale = lcm(*(d.denominator for d in _degrees(g)))
+        degrees = _degrees(g)
+        scale = self.scale = lcm(*(d.denominator for d in degrees))
 
         def scaled(d: Fraction) -> int:
             return d.numerator * (scale // d.denominator)
 
-        self.initial: Tuple[Tuple[int, ...], int] = self._reduce(tuple(map(scaled, g.initial)), scale)
+        self.maxmin = g.semantics is Semantics.MAX_MIN
         # event -> column j as the numerators of m[l][j] over D
         self.columns: Dict[str, Tuple[Tuple[int, ...], ...]] = {
             e: tuple(tuple(map(scaled, col)) for col in zip(*m)) for e, m in g.events.items()
         }
+        # seeded with g's own degrees, so a max-min decode returns g's Fractions
+        self.fractions = _Fractions({(scaled(d), scale): d for d in degrees})
+        self.keys: List[Tuple[Tuple[int, ...], int]] = []  # state -> its key
+        self.ids: Dict[Tuple[Tuple[int, ...], int], int] = {}
+        self.tops: List[Fraction] = []  # state -> its largest degree
+        # event -> state -> successor state, None until first stepped
+        self.successors: Dict[str, List[Optional[int]]] = {e: [] for e in self.columns}
+        start = tuple(map(scaled, g.initial)), scale
+        self.initial = self._number(start if self.maxmin else self._reduce(*start))
 
     def _reduce(self, nums: tuple, den: int) -> Tuple[tuple, int]:
         scale, common = self.scale, gcd(*nums)
@@ -239,19 +188,44 @@ class ScaledTable:
             nums = tuple([x // factor for x in nums])
         return nums, den
 
-    def step(self, state: tuple, e: str) -> tuple:
-        """One max-product transition of the scaled state."""
-        nums, den = state
-        return self._reduce(tuple([max(map(mul, nums, col)) for col in _columns(self, e)]), den * self.scale)
+    def _number(self, key: Tuple[Tuple[int, ...], int]) -> int:
+        """The state of key, numbered and filed the first time it is met."""
+        q = self.ids.get(key)
+        if q is None:
+            q = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            nums, den = key
+            self.tops.append(self.fractions[max(nums), den])
+            for successors in self.successors.values():
+                successors.append(None)
+        return q
 
-    def top(self, state: tuple) -> Fraction:
-        """L_G̃ of the strings that lead to the state: its largest degree."""
-        nums, den = state
-        return Fraction(max(nums), den)
+    def step(self, q: int, e: str) -> int:
+        """One transition of state q."""
+        try:
+            nxt = self.successors[e][q]
+        except KeyError:
+            raise _unknown(e, self.columns) from None
+        return self._successor(q, e) if nxt is None else nxt
 
-    def decode(self, state: tuple) -> tuple:
-        nums, den = state
-        return tuple([Fraction(x, den) for x in nums])
+    def _successor(self, q: int, e: str) -> int:
+        """Compute, number and keep the successor of q under e."""
+        nums, den = self.keys[q]
+        if self.maxmin:
+            key = tuple([max(map(min, nums, col)) for col in self.columns[e]]), den
+        else:
+            key = self._reduce(tuple([max(map(mul, nums, col)) for col in self.columns[e]]), den * self.scale)
+        nxt = self.successors[e][q] = self._number(key)
+        return nxt
+
+    def top(self, q: int) -> Fraction:
+        """L_G̃ of the strings that lead to q: its largest degree."""
+        return self.tops[q]
+
+    def decode(self, q: int) -> tuple:
+        nums, den = self.keys[q]
+        fractions = self.fractions
+        return tuple([fractions[x, den] for x in nums])
 
 
 def step(g: FuzzyAutomaton, q: Sequence, e: str) -> tuple:

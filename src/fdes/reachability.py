@@ -14,12 +14,12 @@ set of input values).  Max-product systems may not; they get a depth cap
 that turns possible divergence into a DepthExceeded diagnostic.
 
 Both views run on the automata's step tables (`FuzzyAutomaton.table`):
-under max-min a state number, each number one rank vector and each step
-computed once per automaton; under max-product a scaled integer vector.  In
-either case there is one canonical key per fuzzy state.  The BFS and the
-tree builder step, hash and compare those keys, and the labels are decoded
-to Fraction vectors once, at the boundary: the graph's nodes, the tree's
-nodes, or the open frontier of a DepthExceeded.
+a state is a number, one per fuzzy state, standing for a vector of integer
+numerators over a denominator, and each step is computed once per
+automaton.  The BFS and the tree builder step, hash and compare those
+numbers, and the labels are decoded to Fraction vectors once, at the
+boundary: the graph's nodes, the tree's nodes, or the open frontier of a
+DepthExceeded.
 """
 
 from __future__ import annotations

@@ -3,16 +3,17 @@
 Everything here is deliberately naive: set-based crisp controllability,
 exhaustive candidate search over a finite value lattice, plain nested loops.
 The point is to have independently-written baselines to compare the library
-against, so nothing below imports from fdes beyond the data containers,
-the Fraction max-min kernel `maxmin_apply`, which the rank-space paths of
-the library are checked against (the scaled-integer max-product paths are
-checked against plain nested Fraction loops), and the controllability witness finder
-`_violation`, which the iterated closures rescan with after every fix.
+against, so nothing below imports from fdes beyond the data containers
+and the controllability witness finder `_violation`, which the iterated
+closures rescan with after every fix.  Fuzzy states are stepped by plain
+nested Fraction loops of their own (`fraction_step`), not by the library's
+kernels.
 """
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from fdes.algebra import ONE, ZERO, Semantics, maxmin_apply
+from fdes.algebra import ONE, ZERO, Semantics
 from fdes.automaton import FuzzyAutomaton
 from fdes.errors import NotCrisp
 from fdes.language import (
@@ -420,12 +421,10 @@ def admissibility_by_replay(sup, g, attrs, n):
 # --- supervisory conditions by plain Fraction replay ----------------------------
 
 def fraction_step(g, q, e):
-    """q * e with the Fraction max-min kernel or, for max-product, plain
-    nested max/product loops."""
+    """q * e by plain nested max/min (max-min) or max/product loops."""
     m = g.matrix(e)
-    if g.semantics is Semantics.MAX_MIN:
-        return maxmin_apply(q, m)
-    return tuple(max(q[i] * m[i][j] for i in range(len(q))) for j in range(len(q)))
+    times = min if g.semantics is Semantics.MAX_MIN else mul
+    return tuple(max(times(q[i], m[i][j]) for i in range(len(q))) for j in range(len(q)))
 
 
 def fraction_run(g, s):
@@ -599,7 +598,7 @@ def assert_round_trip(g, h, attrs, depth=6, rng=None):
     controlled language must equal pr(K) on every string up to `depth`;
     when it fails, the reported counterexample row must be reproducible from
     the raw definitions.  Returns the check verdict."""
-    from fdes.algebra import apply_event, max_element
+    from fdes.algebra import max_element
     from fdes.supervisory import (
         check_admissibility,
         check_controllability,
@@ -623,8 +622,8 @@ def assert_round_trip(g, h, attrs, depth=6, rng=None):
                 if d == depth:
                     continue
                 for e in g.alphabet:
-                    vg2 = apply_event(vg, g.matrix(e), g.semantics)
-                    vh2 = apply_event(vh, h.matrix(e), h.semantics)
+                    vg2 = fraction_step(g, vg, e)
+                    vh2 = fraction_step(h, vh, e)
                     lg2 = max_element(vg2)
                     prk2 = max_element(vh2)
                     ucv = attrs.uc(e)

@@ -45,7 +45,7 @@ def cli(*args):
     exe = shutil.which("fdes")
     cmd = [exe] if exe else [sys.executable, "-m", "fdes.cli"]
     cmd += [str(MODELS / a) if str(a).endswith(".json") else str(a) for a in args]
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=120)  # a hang fails, not stalls
 
 
 def apply_errata(printed, errata):

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from fdes import supervisory
 from fdes.algebra import Semantics, format_degree, format_table
-from fdes.automaton import FuzzyAutomaton, RankTable, ScaledTable, string_to_text
+from fdes.automaton import FuzzyAutomaton, StepTable, string_to_text
 from fdes.supervisory import REPORT_HEADERS, check_n_controllability
 
 SEMANTICS = (Semantics.MAX_MIN, Semantics.MAX_PRODUCT)
@@ -81,12 +81,12 @@ def test_check_n_rows_equal_replay_random():
 def step_calls(monkeypatch):
     """Counts each step table's `step` calls, keyed by the table."""
     calls = Counter()
-    for cls in (RankTable, ScaledTable):
-        def spy(self, state, e, _step=cls.step):
-            calls[id(self)] += 1
-            return _step(self, state, e)
 
-        monkeypatch.setattr(cls, "step", spy)
+    def spy(self, state, e, _step=StepTable.step):
+        calls[id(self)] += 1
+        return _step(self, state, e)
+
+    monkeypatch.setattr(StepTable, "step", spy)
     return calls
 
 

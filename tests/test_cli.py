@@ -15,9 +15,11 @@ from fdes.algebra import ONE, ZERO, Semantics
 from fdes.cli import main
 
 FDES = shutil.which("fdes")
+# seconds a CLI subprocess may run: a command that stops terminating fails its test
+TIMEOUT = 120
 
 
-def fdes(*args, env=None, timeout=None):
+def fdes(*args, env=None, timeout=TIMEOUT):
     if FDES:
         cmd = [FDES]
     else:
@@ -53,7 +55,8 @@ def test_case_study_replay_golden():
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     res = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_case_studies.py")], capture_output=True, text=True, env=env
+        [sys.executable, str(ROOT / "scripts" / "run_case_studies.py")],
+        capture_output=True, text=True, env=env, timeout=TIMEOUT,
     )
     assert res.returncode == 0
     assert res.stdout == golden("case_studies.txt")

@@ -196,7 +196,7 @@ def test_maxmin_always_closes_random():
             assert tree_labels == set(graph.nodes)
 
 
-# --- rank-space enumeration against plain Fraction stepping -----------------------
+# --- step-table enumeration against plain Fraction stepping -----------------------
 
 # tenths plus degrees with no finite decimal expansion
 RANK_PALETTE = oracles.HALF_STEPS + (F(1, 3), F(2, 3), F(1, 7), F(5, 7))

@@ -1,4 +1,4 @@
-"""The max-product scaled-integer step table against plain Fraction stepping."""
+"""The step table under max-product against plain Fraction stepping."""
 import random
 from fractions import Fraction as F
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from fdes import algebra
 from fdes.algebra import ONE, ZERO, Semantics
-from fdes.automaton import FuzzyAutomaton, ScaledTable, generated_degree
+from fdes.automaton import FuzzyAutomaton, StepTable, generated_degree
 from fdes.errors import DepthExceeded, UnknownEvent
 from fdes.reachability import (
     build_computing_tree,
@@ -46,7 +46,7 @@ def maxprod_pair(rng):
 
 
 def keys_up_to(table, alphabet, depth):
-    """string -> the table's key for q0 * string, for every string up to depth."""
+    """string -> the table's state for q0 * string, for every string up to depth."""
     keys = {(): table.initial}
     for s in oracles.strings_up_to(alphabet, depth)[1:]:
         keys[s] = table.step(keys[s[:-1]], s[-1])
@@ -67,11 +67,12 @@ def test_scaled_walk_matches_fraction_run_random():
     for _ in range(150):
         g, _ = maxprod_pair(rng)
         table = g.table()
-        assert type(table) is ScaledTable
-        for s, key in keys_up_to(table, g.alphabet, 4).items():
+        assert type(table) is StepTable
+        for s, state in keys_up_to(table, g.alphabet, 4).items():
             q = oracles.fraction_run(g, s)
-            assert table.decode(key) == q
-            assert table.top(key) == max(q) == generated_degree(g, s)
+            assert table.decode(state) == q
+            assert table.top(state) == max(q) == generated_degree(g, s)
+            key = table.keys[state]
             assert is_reduced(table, key)
             if s and key[1] == 1:
                 integral += any(key[0])
@@ -172,15 +173,15 @@ def maxprod_automata(draw):
 @given(maxprod_automata(), st.integers(0, 3))
 def test_scaled_keys_equal_exactly_when_vectors_equal(g, extra):
     table = g.table()
-    keys = set(keys_up_to(table, g.alphabet, 3).values())
-    decoded = {key: table.decode(key) for key in keys}
+    states = set(keys_up_to(table, g.alphabet, 3).values())
+    decoded = {state: table.decode(state) for state in states}
     # distinct reduced keys stand for distinct vectors
-    assert len(set(decoded.values())) == len(keys)
-    for (nums, den), vector in decoded.items():
+    assert len(set(decoded.values())) == len(states)
+    for state in states:
         # the same vector over a higher power of D reduces to the same key
+        nums, den = table.keys[state]
         scaled_up = tuple(x * table.scale ** extra for x in nums), den * table.scale ** extra
         assert table._reduce(*scaled_up) == (nums, den)
-        assert table.decode(scaled_up) == vector
 
 
 def test_maxprod_walks_do_no_fraction_products(monkeypatch, maxprod_open):

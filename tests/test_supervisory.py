@@ -506,7 +506,7 @@ def test_support_walks_equal_their_replay_definition_random():
 
 
 def test_check_n_rows_equal_fraction_replay_random():
-    """check_n_controllability walks max-min plants and specs in rank space;
+    """check_n_controllability walks plants and specs on integer step tables;
     its rows equal plain Fraction replays of every string of length <= n, for
     automaton and language specs under both semantics."""
     for semantics in (Semantics.MAX_MIN, Semantics.MAX_PRODUCT):
@@ -618,7 +618,7 @@ def test_supervisor_walks_step_each_transition_once(monkeypatch, two_state, attr
             return step(table, state, sigma)
         return spy
 
-    monkeypatch.setattr(fdes.automaton.RankTable, "step", counting(fdes.automaton.RankTable.step))
+    monkeypatch.setattr(fdes.automaton.StepTable, "step", counting(fdes.automaton.StepTable.step))
     monkeypatch.setattr(fdes.supervisory._LanguageTable, "step", counting(fdes.supervisory._LanguageTable.step))
 
     support = oracles.prefix_support(k)
