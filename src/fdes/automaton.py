@@ -289,8 +289,20 @@ def parallel_compose(g1: FuzzyAutomaton, g2: FuzzyAutomaton) -> FuzzyAutomaton:
     )
 
 
-def require_same_alphabet(g: FuzzyAutomaton, h: FuzzyAutomaton) -> None:
-    if set(g.events) != set(h.events):
+def require_same_alphabet(a, b) -> None:
+    """Two automata, languages or supervisors must declare the same events."""
+    if set(a.alphabet) != set(b.alphabet):
+        raise AlphabetMismatch(f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
+
+
+def require_pairable(g: FuzzyAutomaton, spec) -> None:
+    """A specification, automaton or language, must share g's alphabet, and
+    an automaton spec also g's semantics."""
+    if isinstance(spec, FuzzyAutomaton):
+        require_same_alphabet(g, spec)
+        if spec.semantics is not g.semantics:
+            raise SemanticsMismatch("plant and specification must share semantics")
+    elif set(spec.alphabet) != set(g.alphabet):
         raise AlphabetMismatch(
-            f"alphabets differ: {sorted(g.events)} vs {sorted(h.events)}"
+            f"language alphabet {sorted(spec.alphabet)} != plant alphabet {sorted(g.alphabet)}"
         )

@@ -17,7 +17,7 @@ import click
 from . import model_io, reachability, supervisory
 from . import language as fl
 from .algebra import Semantics, format_degree, format_table
-from .automaton import FuzzyAutomaton, parallel_compose, require_same_alphabet, string_from_text, string_to_text
+from .automaton import FuzzyAutomaton, parallel_compose, require_pairable, string_from_text, string_to_text
 from .errors import DepthExceeded, FdesError, ParseError, SemanticsMismatch
 from .supervisory import EventAttributes
 
@@ -309,7 +309,7 @@ def synthesize(model_g, spec, attrs_path, out):
     g, spec_obj, attrs = _load_check(model_g, spec, attrs_path)
     if isinstance(spec_obj, FuzzyAutomaton) and g.semantics is spec_obj.semantics is Semantics.MAX_PRODUCT:
         # a max-product pair has no finite enablement table to emit; fail before the bounded check
-        require_same_alphabet(g, spec_obj)
+        require_pairable(g, spec_obj)
         raise SemanticsMismatch("no finite representative table for a max-product pair")
     sup = supervisory.synthesize_supervisor(g, spec_obj, attrs)
     if not sup.check_passed:
@@ -378,6 +378,7 @@ def _lattice_out(op, lang_k, lang_m, attrs_path, fmt, out) -> None:
     k = model_io.parse_language(lang_k)
     m = model_io.parse_language(lang_m)
     attrs = model_io.parse_attributes(attrs_path)
+    attrs.require_alphabet(k.alphabet)
     result = op(k, m, attrs)
     if fmt == "text":
         lines = [f"{string_to_text(s)} -> {format_degree(result(s))}" for s in result.support()]

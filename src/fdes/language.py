@@ -37,14 +37,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 from .algebra import ZERO, parse_degree
+from .automaton import require_same_alphabet
 from .errors import AlphabetMismatch, KNotContainedInM, MNotPrefixClosed
 
 EventString = Tuple[str, ...]
-
-
-def _uc_map(attrs) -> Mapping[str, Fraction]:
-    """Accept either a plain mapping event → degree or an EventAttributes."""
-    return getattr(attrs, "uncontrollability", attrs)
 
 
 @dataclass(frozen=True)
@@ -103,20 +99,15 @@ def is_prefix_closed(l: FiniteSupportFuzzyLanguage) -> bool:
     return all(l.degrees.get(s[:-1], ZERO) >= d for s, d in l.degrees.items() if s)
 
 
-def _require_same_alphabet(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage):
-    if set(a.alphabet) != set(b.alphabet):
-        raise AlphabetMismatch(f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
-
-
 def fuzzy_and(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
     """Pointwise Zadeh AND (min)."""
-    _require_same_alphabet(a, b)
+    require_same_alphabet(a, b)
     return a.with_degrees({s: min(d, b(s)) for s, d in a.degrees.items()})
 
 
 def fuzzy_or(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
     """Pointwise Zadeh OR (max)."""
-    _require_same_alphabet(a, b)
+    require_same_alphabet(a, b)
     merged = dict(a.degrees)
     for s, d in b.degrees.items():
         if d > merged.get(s, ZERO):
@@ -126,6 +117,16 @@ def fuzzy_or(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> Fi
 
 def is_sublanguage(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> bool:
     return all(d <= b(s) for s, d in a.degrees.items())
+
+
+def _bounded_uc(k: FiniteSupportFuzzyLanguage, m: FiniteSupportFuzzyLanguage, attrs) -> Mapping[str, Fraction]:
+    """Σ̃uc as a mapping event → degree, from either a plain mapping or an
+    EventAttributes, once the bounding language M̃ is checked: it must share
+    k's alphabet and be prefix-closed."""
+    require_same_alphabet(k, m)
+    if not is_prefix_closed(m):
+        raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
+    return getattr(attrs, "uncontrollability", attrs)
 
 
 class ControllabilityWitness(NamedTuple):
@@ -159,10 +160,7 @@ def is_controllable_wrt(
     m must be prefix-closed.  The scan ranges over pr(k)'s support only:
     elsewhere the left side is 0.
     """
-    _require_same_alphabet(k, m)
-    if not is_prefix_closed(m):
-        raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
-    uc = _uc_map(attrs)
+    uc = _bounded_uc(k, m, attrs)
     prk = prefix_closure(k)
     witness = _violation(prk, uc, m)
     return witness is None, witness
@@ -175,10 +173,7 @@ def supremal_controllable_sublanguage(
 ) -> FiniteSupportFuzzyLanguage:
     """K̃^<: the union of all controllable sublanguages of k (one backward
     pass over pr(k)'s support, then one forward pass applying the caps)."""
-    _require_same_alphabet(k, m)
-    if not is_prefix_closed(m):
-        raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
-    uc = _uc_map(attrs)
+    uc = _bounded_uc(k, m, attrs)
     events = [(sigma, uc.get(sigma, ZERO)) for sigma in k.alphabet]
     bound = m.degrees.get
     domain = sorted(prefix_closure(k).degrees, key=len)
@@ -202,12 +197,9 @@ def infimal_prefix_closed_superlanguage(
 ) -> FiniteSupportFuzzyLanguage:
     """K̃^>: the smallest prefix-closed controllable language between k and m
     (one forward pass from pr(k), each string after its parent)."""
-    _require_same_alphabet(k, m)
-    if not is_prefix_closed(m):
-        raise MNotPrefixClosed("the bounding language M̃ must be prefix-closed")
+    uc = _bounded_uc(k, m, attrs)
     if not is_sublanguage(k, m):
         raise KNotContainedInM("K̃ must be a sublanguage of M̃")
-    uc = _uc_map(attrs)
     events = [(sigma, uc.get(sigma, ZERO)) for sigma in k.alphabet]
     bound = m.degrees.get
     g = dict(prefix_closure(k).degrees)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Tuple
 
-from .algebra import Semantics, format_degree, parse_degree
+from .algebra import Semantics, format_degree
 from .automaton import FuzzyAutomaton, string_from_text
 from .errors import ParseError, ShapeError
 from .language import FiniteSupportFuzzyLanguage
@@ -26,10 +26,14 @@ SCHEMA_VERSION = "1"
 
 def load_document(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
@@ -165,10 +169,7 @@ def parse_language_doc(doc: dict, where: str = "language") -> FiniteSupportFuzzy
     degrees = _field(doc, "degrees", where)
     if not isinstance(degrees, dict):
         raise ParseError(f"{where}: 'degrees' must map strings to degrees")
-    return FiniteSupportFuzzyLanguage(
-        alphabet,
-        {string_from_text(text): parse_degree(d) for text, d in degrees.items()},
-    )
+    return FiniteSupportFuzzyLanguage(alphabet, {string_from_text(text): d for text, d in degrees.items()})
 
 
 def parse_language(path: str) -> FiniteSupportFuzzyLanguage:
@@ -180,10 +181,7 @@ def language_to_doc(l: FiniteSupportFuzzyLanguage) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "language",
         "alphabet": list(l.alphabet),
-        "degrees": {
-            " ".join(s): format_degree(d)
-            for s, d in sorted(l.degrees.items(), key=lambda kv: (len(kv[0]), kv[0]))
-        },
+        "degrees": {" ".join(s): format_degree(l(s)) for s in l.support()},
     }
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import automaton as fa
 from .algebra import Semantics, format_vector
-from .errors import DepthExceeded, ParseError, SemanticsMismatch, TargetNotReachable
+from .errors import DepthExceeded, ParseError, TargetNotReachable
 
 DEFAULT_MAX_PRODUCT_DEPTH = 32
 
@@ -124,7 +124,7 @@ def build_pair_computing_tree(
 ) -> ComputingTreeNode:
     """Tree over synchronized pairs (q̃0 * s, p̃0 * s) of plant and spec."""
     depth = _depth_cap(g.semantics, max_depth)
-    _require_pairable(g, h)
+    fa.require_pairable(g, h)
     return _build_tree(*_pair_table(g, h), depth)
 
 
@@ -195,7 +195,7 @@ def enumerate_pairs(
 ) -> ReachableStateGraph:
     """All distinct synchronized pairs (q̃0 * s, p̃0 * s)."""
     depth = _depth_cap(g.semantics, max_depth)
-    _require_pairable(g, h)
+    fa.require_pairable(g, h)
     return _bfs(*_pair_table(g, h), depth)
 
 
@@ -208,14 +208,6 @@ def _pair_table(g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton) -> Tuple[tuple, Tupl
         lambda lab, e: (tg.step(lab[0], e), th.step(lab[1], e)),
         lambda lab: (tg.decode(lab[0]), th.decode(lab[1])),
     )
-
-
-def _require_pairable(g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton) -> None:
-    fa.require_same_alphabet(g, h)
-    if g.semantics is not h.semantics:
-        raise SemanticsMismatch(
-            f"cannot pair {g.semantics.value} with {h.semantics.value}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +233,24 @@ def class_automaton(graph: ReachableStateGraph, target) -> StateClassAutomaton:
 # DOT emission
 
 
+def _dot_label(text: str) -> str:
+    """A DOT label attribute quoting text, its " and \\ escaped."""
+    return 'label="' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def tree_to_dot(root: ComputingTreeNode, title: str = "computing_tree") -> str:
     lines = [f"digraph {title} {{", "  node [shape=box];"]
     ids: Dict[int, str] = {}
     for n, node in enumerate(root.walk()):
         ids[id(node)] = f"n{n}"
-        attrs = f'label="{format_label(node.label)}"'
+        attrs = _dot_label(format_label(node.label))
         if node.is_leaf:
             attrs += ", peripheries=2"
         lines.append(f"  n{n} [{attrs}];")
     for node in root.walk():
         for child in node.children:
             lines.append(
-                f'  {ids[id(node)]} -> {ids[id(child)]} [label="{child.incoming_event}"];'
+                f"  {ids[id(node)]} -> {ids[id(child)]} [{_dot_label(child.incoming_event)}];"
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -262,8 +259,8 @@ def tree_to_dot(root: ComputingTreeNode, title: str = "computing_tree") -> str:
 def graph_to_dot(graph: ReachableStateGraph, title: str = "reachable_states") -> str:
     lines = [f"digraph {title} {{", "  node [shape=box];"]
     for i, label in enumerate(graph.nodes):
-        lines.append(f'  s{i} [label="{format_label(label)}"];')
+        lines.append(f"  s{i} [{_dot_label(format_label(label))}];")
     for (i, e), j in graph.edges.items():
-        lines.append(f'  s{i} -> s{j} [label="{e}"];')
+        lines.append(f"  s{i} -> s{j} [{_dot_label(e)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

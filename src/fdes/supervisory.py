@@ -185,19 +185,6 @@ def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iter
                     level.append(child)
 
 
-def _require_matching_spec(g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]) -> None:
-    """A specification must share g's alphabet, and an automaton spec also
-    g's semantics."""
-    if isinstance(spec, FuzzyAutomaton):
-        fa.require_same_alphabet(g, spec)
-        if spec.semantics is not g.semantics:
-            raise SemanticsMismatch("plant and specification must share semantics")
-    elif set(spec.alphabet) != set(g.alphabet):
-        raise AlphabetMismatch(
-            f"language alphabet {sorted(spec.alphabet)} != plant alphabet {sorted(g.alphabet)}"
-        )
-
-
 # the walk state of a language spec once a string has left pr(K̃)'s support:
 # no string over any alphabet, so pr(K̃) reads 0 there, and absorbing
 _OUTSIDE = (None,)
@@ -306,7 +293,7 @@ def _require_exact(
             "the pair-class check is exact for max-min systems only; "
             "use check_n_controllability for max-product"
         )
-    _require_matching_spec(g, spec)
+    fa.require_pairable(g, spec)
     attrs.require_alphabet(g.alphabet)
 
 
@@ -361,7 +348,7 @@ def check_n_controllability(
     """
     reachability._require_bound("n", n)
     attrs.require_alphabet(g.alphabet)
-    _require_matching_spec(g, spec)
+    fa.require_pairable(g, spec)
     walk = _PairWalk(g, spec, attrs)
     rows: List[ReportRow] = []
     for s, i in _strings(n, g.alphabet, 0, lambda i, sigma: walk[i, sigma][0]):
@@ -377,7 +364,7 @@ def check_sufficient_condition(
     """K̃(s·σ) ≥ min(Σ̃uc(σ), L_G̃(s·σ)) on pr(K̃)'s support — a stronger,
     cheaper condition that implies controllability."""
     attrs.require_alphabet(g.alphabet)
-    _require_matching_spec(g, k)
+    fa.require_pairable(g, k)
     walk = _PairWalk(g, k, attrs)
     return all(
         k(s + (sigma,)) >= min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]])
@@ -406,7 +393,7 @@ class SynthesizedSupervisor:
         if (self.spec_automaton is None) == (self.spec_language is None):
             raise ValueError("exactly one of spec_automaton / spec_language required")
         spec = self.spec_language if self.spec_automaton is None else self.spec_automaton
-        _require_matching_spec(self.plant, spec)
+        fa.require_pairable(self.plant, spec)
         self._walk = _PairWalk(self.plant, spec, self.attrs)
 
     @property
@@ -448,6 +435,12 @@ class ExplicitSupervisor:
             tuple(s): {str(e): parse_degree(d) for e, d in row.items()}
             for s, row in self.table.items()
         }
+        for s, row in self.table.items():
+            undeclared = (set(s) | set(row)) - set(self.alphabet)
+            if undeclared:
+                raise AlphabetMismatch(
+                    f"supervisor row {string_to_text(s)} uses undeclared events {sorted(undeclared)}"
+                )
         self.default = parse_degree(self.default)
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
@@ -476,7 +469,7 @@ def synthesize_supervisor(
     max-product automaton spec is checked on bounded strings, to
     `CHECK_DEPTH`; the other checks are exact and run on the supervisor's
     own walk."""
-    _require_matching_spec(g, spec)
+    fa.require_pairable(g, spec)
     if not isinstance(spec, FuzzyAutomaton):
         sup = SynthesizedSupervisor(g, attrs, spec_language=spec)
     elif g.semantics is Semantics.MAX_MIN:
@@ -493,6 +486,7 @@ def _controlled(sup: Supervisor, g: FuzzyAutomaton) -> Tuple[tuple, Callable[[tu
     """(start, step) for `_strings` over the controlled system: the state of
     a string t = s·σ is (g's table state, the supervisor's walk state,
     L_G̃(t), S̃(s)(σ)), and the empty string's last two are 1."""
+    fa.require_same_alphabet(sup, g)
     table = g.table()
     start, follow = sup.walk()
 
@@ -706,14 +700,11 @@ def crisp_active_events(h: FuzzyAutomaton, s: Sequence[str]) -> set:
     """
     if not h.is_crisp():
         raise NotCrisp("crisp_active_events needs {0,1} degrees")
-    current = {i for i, d in enumerate(h.initial) if d == ONE}
+    # on {0,1} degrees a fuzzy state is the indicator of H's current states
+    table = h.table()
+    q = table.initial
     for sigma in s:
-        m = h.matrix(sigma)
-        current = {j for i in current for j in range(h.dim) if m[i][j] == ONE}
-        if not current:
+        q = table.step(q, sigma)
+        if table.top(q) == ZERO:
             raise StringNotInLanguage(f"{string_to_text(tuple(s))} is not in L(H)")
-    return {
-        sigma
-        for sigma in h.alphabet
-        if any(h.events[sigma][i][j] == ONE for i in current for j in range(h.dim))
-    }
+    return {sigma for sigma in h.alphabet if table.top(table.step(q, sigma)) == ONE}

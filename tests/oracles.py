@@ -591,6 +591,18 @@ def crisp_pair_controllable(g, h, uc_events):
     return True
 
 
+def crisp_active_events_reference(h, s):
+    """Γ_H after s by subset propagation over H's crisp states; None when H
+    cannot execute s."""
+    images = _crisp_images(h)
+    current = {i for i, x in enumerate(h.initial) if x == ONE}
+    for e in s:
+        current = set().union(*(images[e][i] for i in current))
+        if not current:
+            return None
+    return {e for e in h.alphabet if any(images[e][i] for i in current)}
+
+
 # --- synthesis round trip ------------------------------------------------------
 
 def assert_round_trip(g, h, attrs, depth=6, rng=None):

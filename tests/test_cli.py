@@ -535,3 +535,48 @@ def test_synthesize_rejects_max_product_specs_before_the_check(monkeypatch):
         res = fdes("synthesize", path(plant), path(spec), "--attrs", path(attrs))
         assert res.returncode == 0
         assert "checked to depth" not in res.stderr
+
+
+def test_unreadable_model_files_exit_two(tmp_path):
+    """A directory, or a file whose bytes are not UTF-8, is a parse error
+    naming the file, not a traceback."""
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for target in (tmp_path, binary):
+        result = invoke("reach", target)
+        assert_clean_exit(result, 2)
+        assert result.output.startswith(f"error: {target}: ")
+
+
+@pytest.mark.parametrize("command", ["suplang", "inflang"])
+def test_lattice_attrs_must_cover_the_language_alphabet(tmp_path, command):
+    attrs = tmp_path / "attrs.json"
+    attrs.write_text(json.dumps({"kind": "attributes", "uncontrollability": {"zz": "1"}}))
+    result = invoke(command, path("lattice_k.json"), path("lattice_m.json"), "--attrs", attrs, "--format", "text")
+    assert_clean_exit(result, 2)
+    assert "attribute events ['zz'] != alphabet ['a', 'b']" in result.output
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"": {"a": "0.8", "zz": "1"}}, "undeclared events ['a', 'zz']"),
+    ({}, "alphabets differ: ['x', 'y'] vs ['a', 'b', 'c']"),
+])
+def test_eval_rejects_a_supervisor_of_other_events(tmp_path, table, message):
+    sup = tmp_path / "supervisor.json"
+    sup.write_text(json.dumps({"kind": "supervisor", "mode": "explicit", "alphabet": ["x", "y"], "table": table}))
+    result = invoke("eval", sup, path("chain_plant.json"), "a")
+    assert_clean_exit(result, 2)
+    assert message in result.output
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    target = tmp_path / "quoted.json"
+    events = {'a"1': [["1"]], "b\\": [["0.5"]]}
+    target.write_text(json.dumps({"kind": "model", "semantics": "max-min", "states": ["q"],
+                                  "initial": ["1"], "events": events}))
+    for command in ("reach", "tree"):
+        result = invoke(command, target, "--format", "dot")
+        assert result.exit_code == 0, result.output
+        assert '[label="a\\"1"];' in result.output
+        assert '[label="b\\\\"];' in result.output
+        assert '"a"1"' not in result.output

@@ -8,7 +8,7 @@ import oracles
 from conftest import MODELS
 from fdes import model_io
 from fdes.algebra import Semantics
-from fdes.errors import ParseError, RangeError, ShapeError
+from fdes.errors import AlphabetMismatch, ParseError, RangeError, ShapeError
 from fdes.language import FiniteSupportFuzzyLanguage
 from fdes.supervisory import EventAttributes, ExplicitSupervisor, synthesize_supervisor
 
@@ -145,3 +145,11 @@ def test_every_bundled_fixture_parses():
     for path in paths:
         kind = model_io.detect_kind(model_io.load_document(path))
         parsers[kind](path)
+
+
+def test_language_doc_names_its_first_faulty_string():
+    """Each degree text is parsed once, with its string, in document order."""
+    with pytest.raises(RangeError, match=r"^degree '2' outside \[0, 1\]$"):
+        model_io.parse_language_doc({"alphabet": ["a"], "degrees": {"": "1", "a": "2"}})
+    with pytest.raises(AlphabetMismatch, match="undeclared event 'b'"):
+        model_io.parse_language_doc({"alphabet": ["a"], "degrees": {"b": "0.5", "a": "2"}})

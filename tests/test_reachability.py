@@ -1,12 +1,13 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from fdes.algebra import as_vector, format_vector
-from fdes.errors import DepthExceeded, TargetNotReachable
+from fdes.algebra import Semantics, as_vector, format_vector
+from fdes.errors import DepthExceeded, SemanticsMismatch, TargetNotReachable
 from fdes.reachability import (
     DEFAULT_MAX_PRODUCT_DEPTH,
     build_computing_tree,
@@ -243,3 +244,13 @@ def test_rank_enumeration_frontier_is_decoded_random():
         assert err.value.frontier == overflow
         assert all(all_fractions(label) for label in err.value.frontier)
     assert exceeded >= 20
+
+
+def test_pairs_need_one_semantics(two_state):
+    """Pair enumerations and pair trees apply the plant–spec pairing rule
+    of the supervisory checks, message and all."""
+    g, h = two_state
+    plant = replace(g, semantics=Semantics.MAX_PRODUCT)
+    for build in (enumerate_pairs, build_pair_computing_tree):
+        with pytest.raises(SemanticsMismatch, match="^plant and specification must share semantics$"):
+            build(plant, h)

@@ -708,6 +708,45 @@ def test_crisp_active_events(crisp_pair):
         crisp_active_events(h, ("b1",))
 
 
+def test_crisp_active_events_match_subset_propagation():
+    """On random crisp automata of both semantics, the step-table walk gives
+    the active events of the subset-propagation reference, and raises
+    StringNotInLanguage exactly where the reference's state set empties."""
+    rng = random.Random(20)
+    outcomes = set()
+    for semantics in Semantics:
+        for _ in range(40):
+            h = oracles.random_automaton(rng, semantics=semantics, palette=(ZERO, ONE))
+            for s in oracles.strings_up_to(h.alphabet, 3):
+                expected = oracles.crisp_active_events_reference(h, s)
+                outcomes.add(expected is None)
+                if expected is None:
+                    with pytest.raises(StringNotInLanguage):
+                        crisp_active_events(h, s)
+                else:
+                    assert crisp_active_events(h, s) == expected
+    assert outcomes == {True, False}
+
+
+def test_controlled_system_needs_the_plant_alphabet(chain):
+    """A supervisor must declare the plant's events: every walk of the
+    controlled system checks it, and an explicit table that enables an
+    undeclared event is rejected when it is built."""
+    g, k, attrs_ok, _ = chain
+    sup = ExplicitSupervisor(("x", "y"), {})
+    for run in (
+        lambda: controlled_generated_degree(sup, g, ("a",)),
+        lambda: check_admissibility(sup, g, attrs_ok, 2),
+        lambda: check_nonblocking(sup, g, k, attrs_ok),
+    ):
+        with pytest.raises(AlphabetMismatch, match="^alphabets differ"):
+            run()
+    with pytest.raises(AlphabetMismatch, match=r"^supervisor row ε uses undeclared events \['a', 'zz'\]$"):
+        ExplicitSupervisor(("x", "y"), {(): {"a": "0.8", "zz": "1"}})
+    with pytest.raises(AlphabetMismatch, match=r"^supervisor row a uses undeclared events \['a'\]$"):
+        ExplicitSupervisor(("x", "y"), {("a",): {"x": "1"}})
+
+
 def test_crisp_check_agrees_with_subset_oracle(crisp_pair, attrs_crisp):
     g, h = crisp_pair
     report = check_controllability(g, h, attrs_crisp)
