@@ -111,8 +111,8 @@ def format_vector(v: Sequence[Fraction]) -> str:
 def format_table(rows: Sequence[Sequence[str]]) -> List[str]:
     """Lay out text cells (a header first) as left-aligned columns two spaces
     apart, one line per row with trailing blanks stripped."""
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(map(str.ljust, row, widths)).rstrip() for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .supervisory import (
     ExplicitSupervisor,
     Supervisor,
     SynthesizedSupervisor,
+    _degree_texts,
 )
 
 SCHEMA_VERSION = "1"
@@ -80,6 +81,19 @@ def _alphabet(doc: dict, where: str) -> tuple:
     alphabet = _field(doc, "alphabet", where)
     _require(isinstance(alphabet, list), where, "'alphabet' must be a list of event names")
     return tuple(alphabet)
+
+
+def _by_string(entries: dict, name: str, where: str) -> dict:
+    """The values of a string-keyed field, keyed by the event strings their
+    keys name; two keys for one string ("" and "eps", "a b" and "a  b") are
+    a ParseError naming both."""
+    out, keys = {}, {}
+    for text, value in entries.items():
+        s = string_from_text(text)
+        if s in keys:
+            raise ParseError(f"{where}: {name!r} keys {keys[s]!r} and {text!r} name one string")
+        keys[s], out[s] = text, value
+    return out
 
 
 def _object(doc: dict, name: str, where: str) -> dict:
@@ -169,7 +183,7 @@ def parse_language_doc(doc: dict, where: str = "language") -> FiniteSupportFuzzy
     degrees = _field(doc, "degrees", where)
     if not isinstance(degrees, dict):
         raise ParseError(f"{where}: 'degrees' must map strings to degrees")
-    return FiniteSupportFuzzyLanguage(alphabet, {string_from_text(text): d for text, d in degrees.items()})
+    return FiniteSupportFuzzyLanguage(alphabet, _by_string(degrees, "degrees", where))
 
 
 def parse_language(path: str) -> FiniteSupportFuzzyLanguage:
@@ -212,6 +226,7 @@ def attributes_to_doc(attrs: EventAttributes) -> dict:
 
 
 def supervisor_to_doc(sup: Supervisor) -> dict:
+    text = _degree_texts()
     if isinstance(sup, SynthesizedSupervisor):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -225,7 +240,7 @@ def supervisor_to_doc(sup: Supervisor) -> dict:
             "enablement_rows": [
                 {
                     "s": " ".join(s),
-                    "degrees": {e: format_degree(d) for e, d in row.items()},
+                    "degrees": {e: text(d) for e, d in row.items()},
                 }
                 for s, row in sup.rows()
             ],
@@ -235,9 +250,9 @@ def supervisor_to_doc(sup: Supervisor) -> dict:
         "kind": "supervisor",
         "mode": "explicit",
         "alphabet": list(sup.alphabet),
-        "default": format_degree(sup.default),
+        "default": text(sup.default),
         "table": {
-            " ".join(s): {e: format_degree(d) for e, d in row.items()}
+            " ".join(s): {e: text(d) for e, d in row.items()}
             for s, row in sorted(sup.table.items(), key=lambda kv: (len(kv[0]), kv[0]))
         },
     }
@@ -265,7 +280,7 @@ def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
                  "'table' must map strings to rows of event degrees")
         return ExplicitSupervisor(
             alphabet=_alphabet(doc, where),
-            table={string_from_text(text): dict(row) for text, row in table.items()},
+            table={s: dict(row) for s, row in _by_string(table, "table", where).items()},
             default=doc.get("default", "0"),
         )
     raise ParseError(f"{where}: unknown supervisor mode {mode!r}")

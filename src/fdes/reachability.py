@@ -239,19 +239,26 @@ def _dot_label(text: str) -> str:
 
 
 def tree_to_dot(root: ComputingTreeNode, title: str = "computing_tree") -> str:
+    """The tree as DOT.  Each distinct label is formatted once: a built
+    tree's nodes share one decoded label per state, so the memo is keyed by
+    the label object, which the tree keeps alive while it renders."""
     lines = [f"digraph {title} {{", "  node [shape=box];"]
     ids: Dict[int, str] = {}
+    labels: Dict[int, str] = {}
     for n, node in enumerate(root.walk()):
         ids[id(node)] = f"n{n}"
-        attrs = _dot_label(format_label(node.label))
+        attrs = labels.get(id(node.label))
+        if attrs is None:
+            attrs = labels[id(node.label)] = _dot_label(format_label(node.label))
         if node.is_leaf:
             attrs += ", peripheries=2"
         lines.append(f"  n{n} [{attrs}];")
+    edges: Dict[str, str] = {}
     for node in root.walk():
         for child in node.children:
-            lines.append(
-                f"  {ids[id(node)]} -> {ids[id(child)]} [{_dot_label(child.incoming_event)}];"
-            )
+            e = child.incoming_event
+            edge = edges.get(e) or edges.setdefault(e, _dot_label(e))
+            lines.append(f"  {ids[id(node)]} -> {ids[id(child)]} [{edge}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

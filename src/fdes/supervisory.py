@@ -37,6 +37,15 @@ bounded admissibility and the nonblocking comparison step the controlled
 system (`_controlled`), where a synthesized supervisor's state is its pair
 id and a transition met again is a dict hit.  Reports render each
 distinct degree once per call.
+
+Under max-min every degree a walk touches lies in a finite set known up
+front: the plant's and the spec's degrees, K̃, Σ̃uc, 0 and 1, and for the
+controlled system also the plant's marked entries and the supervisor's
+degrees.  A walk's `_Codec` maps each to an exact int, its numerator over
+the lcm of the set's denominators, so the walks compare and pick ints and
+decode a degree only where a result leaves this module.  Under max-product
+the degrees do not stay in a finite set, the codec is the identity, and
+the same walks run on Fractions.
 """
 
 from __future__ import annotations
@@ -44,15 +53,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import automaton as fa
 from . import language as fl
 from . import reachability
 from .algebra import ONE, ZERO, Semantics, format_degree, format_table, parse_degree
 from .automaton import EventString, FuzzyAutomaton, string_to_text
-from .errors import AlphabetMismatch, NotCrisp, SemanticsMismatch, StringNotInLanguage
+from .errors import AlphabetMismatch, NotCrisp, RangeError, SemanticsMismatch, StringNotInLanguage
 from .language import FiniteSupportFuzzyLanguage
 
 
@@ -144,7 +154,6 @@ class ControllabilityReport:
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        keys = ("s", "event", *DEGREE_FIELDS, "verdict")
         text = _degree_texts()
         return {
             "schema_version": "1",
@@ -153,12 +162,16 @@ class ControllabilityReport:
             "n": self.n,
             "warnings": list(self.warnings),
             "rows": [
-                dict(zip(keys, (
-                    string_to_text(r.representative) if r.representative else "",
-                    r.event,
-                    *map(text, _row_degrees(r)),
-                    r.verdict,
-                )))
+                {
+                    "s": string_to_text(r.representative) if r.representative else "",
+                    "event": r.event,
+                    "prK_s": text(r.prK_s),
+                    "LG_s_sigma": text(r.LG_s_sigma),
+                    "sigma_uc": text(r.sigma_uc),
+                    "lhs": text(r.lhs),
+                    "prK_s_sigma": text(r.prK_s_sigma),
+                    "verdict": r.verdict,
+                }
                 for r in self.rows
             ],
         }
@@ -183,6 +196,54 @@ def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iter
                 yield child
                 if length < depth:
                     level.append(child)
+
+
+def _same(d):
+    return d
+
+
+def _entries(g: FuzzyAutomaton) -> Iterator[Fraction]:
+    """g's initial, event-matrix and marked degrees, repeats included."""
+    yield from g.initial
+    for rows in (*g.events.values(), g.marked):
+        for row in rows:
+            yield from row
+
+
+class _Codec:
+    """Degrees as exact ints for one walk: under max-min a degree's code is
+    its numerator × (L ÷ its denominator), L the lcm of the denominators of
+    the walk's finite degree set, so codes order, min and max as the degrees
+    do.  `_Codec(None)` is the identity, for walks whose degrees are not a
+    finite set (max-product).  Encoding a degree outside the set raises."""
+
+    __slots__ = ("degrees", "scale", "codes", "encode", "decode")
+
+    def __init__(self, degrees: Optional[Iterable[Fraction]]):
+        if degrees is None:
+            self.degrees, self.scale, self.encode, self.decode = None, None, _same, _same
+            return
+        # keyed by integer ratio, which is cheaper to hash than a Fraction
+        distinct = {d.as_integer_ratio(): d for d in (ZERO, ONE, *degrees)}
+        self.degrees = tuple(distinct.values())
+        scale = self.scale = lcm(*(den for _, den in distinct))
+        self.codes = {(num, den): num * (scale // den) for num, den in distinct}
+        self.decode = {self.codes[ratio]: d for ratio, d in distinct.items()}.__getitem__
+        self.encode = self._encode
+
+    def _encode(self, d: Fraction) -> int:
+        code = self.codes.get(d.as_integer_ratio())
+        if code is None:
+            raise RangeError(f"degree {format_degree(d)} is outside the walk's degree set")
+        return code
+
+    def recode(self, other: "_Codec") -> Callable:
+        """other's codes to this codec's, when this codec's set holds other's
+        or this codec is the identity."""
+        if self.scale is None:
+            return other.decode
+        factor = self.scale // other.scale
+        return _same if factor == 1 else factor.__mul__
 
 
 # the walk state of a language spec once a string has left pr(K̃)'s support:
@@ -215,23 +276,33 @@ class _PairWalk(dict):
 
     walk[i, σ] is the move (j, row) for every s at pair i: j is the pair of
     s·σ, and row holds the degrees and verdict of the controllability row of
-    (s, σ), the `ReportRow` fields after s and σ.  A move is computed on its
-    first lookup and kept, and so is S̃(s)(σ) (`enablement`).
+    (s, σ), the `ReportRow` fields after s and σ, decoded once.  A move is
+    computed on its first lookup and kept, and so is S̃(s)(σ)
+    (`enablement`).  `lg`, `prk`, `uc` and the enablement degrees are codes
+    of `codec`.
     """
 
     def __init__(self, g: FuzzyAutomaton, spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage],
                  attrs: EventAttributes):
         super().__init__()
-        self.alphabet = g.alphabet
-        self.tg, self.uc = g.table(), attrs.uc
+        self.alphabet, self.attrs = g.alphabet, attrs
+        self.tg = g.table()
         # the step table pr(K̃) is read off: an automaton spec's own, or a language spec's
-        self.tk = spec.table() if isinstance(spec, FuzzyAutomaton) else _LanguageTable(spec)
+        if isinstance(spec, FuzzyAutomaton):
+            self.tk, spec_degrees = spec.table(), _entries(spec)
+        else:
+            self.tk, spec_degrees = _LanguageTable(spec), spec.degrees.values()
+        # every caller's `fa.require_pairable` gives an automaton spec g's semantics
+        finite = g.semantics is Semantics.MAX_MIN
+        self.codec = _Codec([*_entries(g), *spec_degrees, *attrs.uncontrollability.values()] if finite else None)
+        encode = self.codec.encode
+        self.uc = {e: encode(d) for e, d in attrs.uncontrollability.items()}
         start = (self.tg.initial, self.tk.initial)
         self.pairs = [start]  # id -> (plant state, spec state)
         self.ids = {start: 0}
-        self.lg = [self.tg.top(start[0])]  # id -> L_G̃ of its strings
-        self.prk = [self.tk.top(start[1])]  # id -> pr(K̃) of its strings
-        self.enabled: Dict[Tuple[int, str], Fraction] = {}
+        self.lg = [encode(self.tg.top(start[0]))]  # id -> L_G̃ of its strings
+        self.prk = [encode(self.tk.top(start[1]))]  # id -> pr(K̃) of its strings
+        self.enabled: Dict[Tuple[int, str], object] = {}
         self._domain: Optional[Dict[int, EventString]] = None
 
     def __missing__(self, key: Tuple[int, str]) -> Tuple[int, tuple]:
@@ -241,18 +312,20 @@ class _PairWalk(dict):
         j = self.ids.setdefault(pair, len(self.pairs))
         if j == len(self.pairs):
             self.pairs.append(pair)
-            self.lg.append(self.tg.top(pair[0]))
-            self.prk.append(self.tk.top(pair[1]))
-        prk_s, uc, lg, prk_next = self.prk[i], self.uc(sigma), self.lg[j], self.prk[j]
+            self.lg.append(self.codec.encode(self.tg.top(pair[0])))
+            self.prk.append(self.codec.encode(self.tk.top(pair[1])))
+        uc = self.uc[sigma] if sigma in self.uc else self.attrs.uc(sigma)  # the latter raises
+        prk_s, lg, prk_next = self.prk[i], self.lg[j], self.prk[j]
         lhs = min(prk_s, uc, lg)
-        move = self[key] = j, (prk_s, lg, uc, lhs, prk_next, lhs <= prk_next)
+        move = self[key] = j, (*map(self.codec.decode, (prk_s, lg, uc, lhs, prk_next)), lhs <= prk_next)
         return move
 
-    def enablement(self, i: int, sigma: str) -> Fraction:
-        """S̃(s)(σ) for every s at pair i."""
+    def enablement(self, i: int, sigma: str):
+        """The code of S̃(s)(σ) for every s at pair i."""
         enabled = self.enabled.get((i, sigma))
         if enabled is None:
-            _, (_, lg, uc, _, prk_next, _) = self[i, sigma]
+            j = self[i, sigma][0]
+            uc, lg, prk_next = self.uc[sigma], self.lg[j], self.prk[j]
             enabled = self.enabled[i, sigma] = min(uc, lg) if uc >= prk_next else prk_next
         return enabled
 
@@ -297,19 +370,28 @@ def _require_exact(
     attrs.require_alphabet(g.alphabet)
 
 
+def _exact_moves(walk: _PairWalk) -> List[Tuple[EventString, str, tuple]]:
+    """(s, σ, row) for each (s, σ) of the walk's domain, every move computed."""
+    return [(s, sigma, walk[i, sigma][1]) for i, s in walk.domain().items() for sigma in walk.alphabet]
+
+
+def _first_failure(moves: List[Tuple[EventString, str, tuple]]) -> Optional[ReportRow]:
+    """The row of the first failing move, the only row built."""
+    return next((ReportRow(s, sigma, *row) for s, sigma, row in moves if not row[-1]), None)
+
+
 def _exact_report(walk: _PairWalk) -> ControllabilityReport:
     """The exact check: a row for each (s, σ) of the walk's domain, and a
     warning at the first s with pr(K̃)(s) > L_G̃(s)."""
-    domain, lg, prk = walk.domain(), walk.lg, walk.prk
+    domain, lg, prk, decode = walk.domain(), walk.lg, walk.prk, walk.codec.decode
     warnings: List[str] = []
     i = next((i for i in domain if prk[i] > lg[i]), None)
     if i is not None:
         warnings.append(
             f"pr(K) is not contained in L(G): at {string_to_text(domain[i])} "
-            f"pr(K)={format_degree(prk[i])} > L(G)={format_degree(lg[i])}"
+            f"pr(K)={format_degree(decode(prk[i]))} > L(G)={format_degree(decode(lg[i]))}"
         )
-    rows = [ReportRow(s, sigma, *walk[i, sigma][1]) for i, s in domain.items() for sigma in walk.alphabet]
-    return _finish(rows, warnings)
+    return _finish([ReportRow(s, sigma, *row) for s, sigma, row in _exact_moves(walk)], warnings)
 
 
 def check_controllability(
@@ -367,7 +449,7 @@ def check_sufficient_condition(
     fa.require_pairable(g, k)
     walk = _PairWalk(g, k, attrs)
     return all(
-        k(s + (sigma,)) >= min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]])
+        walk.codec.encode(k(s + (sigma,))) >= min(walk.uc[sigma], walk.lg[walk[i, sigma][0]])
         for i, s in walk.domain().items()
         for sigma in g.alphabet
     )
@@ -401,24 +483,20 @@ class SynthesizedSupervisor:
         return self.plant.alphabet
 
     def prk_degree(self, s: EventString) -> Fraction:
-        return self._walk.prk[self._walk.pair(s)]
-
-    def walk(self) -> Tuple[int, Callable[[int, str], Tuple[Fraction, int]]]:
-        """This supervisor's walk over strings: (start, follow), where
-        follow(state, σ) gives S̃(s)(σ) and the state of s·σ from the state
-        of s, its pair id."""
-        walk = self._walk
-        return 0, lambda i, sigma: (walk.enablement(i, sigma), walk[i, sigma][0])
+        return self._walk.codec.decode(self._walk.prk[self._walk.pair(s)])
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
-        return self._walk.enablement(self._walk.pair(s), sigma)
+        return self._walk.codec.decode(self._walk.enablement(self._walk.pair(s), sigma))
 
     def rows(self) -> List[Tuple[EventString, Dict[str, Fraction]]]:
         """One representative enablement row per distinguishable input."""
         if self.spec_automaton is not None and self.plant.semantics is not Semantics.MAX_MIN:
             raise SemanticsMismatch("no finite representative table for a max-product pair")
-        walk = self._walk
-        return [(s, {sigma: walk.enablement(i, sigma) for sigma in self.alphabet}) for i, s in walk.domain().items()]
+        walk, decode = self._walk, self._walk.codec.decode
+        return [
+            (s, {sigma: decode(walk.enablement(i, sigma)) for sigma in self.alphabet})
+            for i, s in walk.domain().items()
+        ]
 
 
 @dataclass
@@ -445,11 +523,6 @@ class ExplicitSupervisor:
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
         return self.table.get(tuple(s), {}).get(sigma, self.default)
-
-    def walk(self) -> Tuple[EventString, Callable[[EventString, str], Tuple[Fraction, EventString]]]:
-        """This supervisor's walk over strings, as `SynthesizedSupervisor.walk`;
-        the state is the string s itself."""
-        return (), lambda s, sigma: (self.enablement_degree(s, sigma), s + (sigma,))
 
 
 Supervisor = Union[SynthesizedSupervisor, ExplicitSupervisor]
@@ -478,34 +551,55 @@ def synthesize_supervisor(
         report = check_n_controllability(g, spec, attrs, CHECK_DEPTH)
         return SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
     _require_exact(g, spec, attrs)
-    sup.check_passed = _exact_report(sup._walk).overall
+    sup.check_passed = _first_failure(_exact_moves(sup._walk)) is None
     return sup
 
 
-def _controlled(sup: Supervisor, g: FuzzyAutomaton) -> Tuple[tuple, Callable[[tuple, str], tuple]]:
-    """(start, step) for `_strings` over the controlled system: the state of
-    a string t = s·σ is (g's table state, the supervisor's walk state,
-    L_G̃(t), S̃(s)(σ)), and the empty string's last two are 1."""
+def _controlled(
+    sup: Supervisor, g: FuzzyAutomaton, extra: Iterable[Fraction] = ()
+) -> Tuple[_Codec, tuple, Callable[[tuple, str], tuple]]:
+    """(codec, start, step) for `_strings` over the controlled system: the
+    state of a string t = s·σ is (g's table state, the supervisor's walk
+    state, L_G̃(t), S̃(s)(σ)), and the empty string's last two are 1.  The
+    degrees are codes of codec, whose set holds g's degrees and marked
+    entries, the supervisor's degrees and extra; it is the identity when g
+    or a synthesized supervisor is max-product.  A synthesized supervisor's
+    walk state is its pair id, an explicit one's the string itself."""
     fa.require_same_alphabet(sup, g)
     table = g.table()
-    start, follow = sup.walk()
+    if isinstance(sup, SynthesizedSupervisor):
+        walk = sup._walk
+        sup_degrees = walk.codec.degrees
+    else:
+        sup_degrees = [sup.default, *(d for row in sup.table.values() for d in row.values())]
+    finite = g.semantics is Semantics.MAX_MIN and sup_degrees is not None
+    codec = _Codec([*_entries(g), *sup_degrees, *extra] if finite else None)
+    encode = codec.encode
+    if isinstance(sup, SynthesizedSupervisor):
+        recode, start = codec.recode(walk.codec), 0
+        follow = lambda i, sigma: (recode(walk.enablement(i, sigma)), walk[i, sigma][0])
+    else:
+        start = ()
+        follow = lambda s, sigma: (encode(sup.enablement_degree(s, sigma)), s + (sigma,))
+    lg = lru_cache(maxsize=None)(lambda v: encode(table.top(v)))
 
     def step(state, sigma):
         v = table.step(state[0], sigma)
         enabled, w = follow(state[1], sigma)
-        return v, w, table.top(v), enabled
+        return v, w, lg(v), enabled
 
-    return (table.initial, start, ONE, ONE), step
+    one = encode(ONE)
+    return codec, (table.initial, start, one, one), step
 
 
 def controlled_generated_degree(sup: Supervisor, g: FuzzyAutomaton, s: Sequence[str]) -> Fraction:
     """L_{S̃/G̃}: ε ↦ 1, then min(previous, L_G̃(s·σ), S̃(s)(σ)) along the string."""
-    state, step = _controlled(sup, g)
-    degree = ONE
+    codec, state, step = _controlled(sup, g)
+    degree = state[2]
     for sigma in s:
         state = step(state, sigma)
         degree = min(degree, state[2], state[3])
-    return degree
+    return codec.decode(degree)
 
 
 def controlled_marked_degree(sup: Supervisor, g: FuzzyAutomaton, s: Sequence[str]) -> Fraction:
@@ -540,26 +634,30 @@ def check_admissibility(
         and (sup.plant is g or (sup.plant == g and sup.plant.alphabet == g.alphabet))
         and g.semantics is Semantics.MAX_MIN
     )
-    # (s·σ, required, provided) for each (s, σ) of the domain, in order
+    # (s·σ, required, provided) for each (s, σ) of the domain, in order, as codes of codec
     if exact:
         domain = "exact (reachable pair classes)"
         walk = sup._walk
+        codec = _Codec([*walk.codec.degrees, *attrs.uncontrollability.values()])
+        uc, recode = {e: codec.encode(attrs.uc(e)) for e in g.alphabet}, codec.recode(walk.codec)
         checks = (
-            (s + (sigma,), min(attrs.uc(sigma), walk.lg[walk[i, sigma][0]]), walk.enablement(i, sigma))
+            (s + (sigma,), min(uc[sigma], recode(walk.lg[walk[i, sigma][0]])), recode(walk.enablement(i, sigma)))
             for i, s in walk.domain().items()
             for sigma in g.alphabet
         )
     else:
         bound = 6 if n is None else n
         domain = f"strings of length ≤ {bound}"
+        codec, start, step = _controlled(sup, g, attrs.uncontrollability.values())
+        uc = {e: codec.encode(attrs.uc(e)) for e in g.alphabet}
         # (s, σ) is checked at the string s·σ, one longer than s
         checks = (
-            (t, min(attrs.uc(t[-1]), lg), provided)
-            for t, (_, _, lg, provided) in _strings(bound + 1, g.alphabet, *_controlled(sup, g))
+            (t, min(uc[t[-1]], lg), provided)
+            for t, (_, _, lg, provided) in _strings(bound + 1, g.alphabet, start, step)
             if t
         )
     t, required, provided = next((c for c in checks if c[1] > c[2]), ((), None, None))
-    violation = (t[:-1], t[-1], required, provided) if t else None
+    violation = (t[:-1], t[-1], codec.decode(required), codec.decode(provided)) if t else None
     return AdmissibilityResult(violation is None, violation, domain)
 
 
@@ -647,7 +745,7 @@ def check_nonblocking(
     # (a)  K = pr(K) ∩ L(G,m), trivially 0 = 0 outside pr(K)'s support
     contained, condition_a, a_witness = True, True, None
     for i, t in walk.domain().items():
-        prk, lm = walk.prk[i], marked(walk.pairs[i][0])
+        prk, lm = walk.codec.decode(walk.prk[i]), marked(walk.pairs[i][0])
         if contained and prk > lm:
             contained = False
             warnings.append(
@@ -658,17 +756,19 @@ def check_nonblocking(
             condition_a, a_witness = False, t
 
     # (b)  the controllability condition for K against L(G), on the same walk
-    report_b = _exact_report(walk)
+    b_witness = _first_failure(_exact_moves(walk))
 
-    # direct bounded comparison for the supervisor actually given
+    # direct bounded comparison for the supervisor actually given, on codes
     if depth is None:
         depth = max(map(len, walk.domain().values()), default=0) + 2
+    codec, start, step = _controlled(sup, g)
+    marked_code = lru_cache(maxsize=None)(lambda v: codec.encode(marked(v)))
     # events in name order, so the strings come in the witness order: length, then names
-    gen: Dict[EventString, Fraction] = {}
-    pr_marked: Dict[EventString, Fraction] = {}
-    for s, (v, _, lg, enabled) in _strings(depth, sorted(g.alphabet), *_controlled(sup, g)):
-        gen[s] = min(gen[s[:-1]], lg, enabled) if s else ONE
-        pr_marked[s] = min(gen[s], marked(v))
+    gen: Dict[EventString, object] = {}
+    pr_marked: Dict[EventString, object] = {}
+    for s, (v, _, lg, enabled) in _strings(depth, sorted(g.alphabet), start, step):
+        gen[s] = min(gen[s[:-1]], lg, enabled) if s else start[2]
+        pr_marked[s] = min(gen[s], marked_code(v))
     for s in reversed(gen):  # longest first
         if s and pr_marked[s] > pr_marked[s[:-1]]:
             pr_marked[s[:-1]] = pr_marked[s]
@@ -678,13 +778,13 @@ def check_nonblocking(
     return NonblockingReport(
         condition_a=condition_a,
         condition_a_witness=a_witness,
-        condition_b=report_b.overall,
-        condition_b_witness=report_b.counterexample,
+        condition_b=b_witness is None,
+        condition_b_witness=b_witness,
         direct_ok=direct_ok,
         direct_witness=direct_witness,
         depth_used=depth,
         warnings=warnings,
-        nonblocking=condition_a and report_b.overall and direct_ok,
+        nonblocking=condition_a and b_witness is None and direct_ok,
     )
 
 

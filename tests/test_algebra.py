@@ -29,7 +29,9 @@ from fdes.errors import DimensionError, ParseError, RangeError
 
 F = Fraction
 
-degrees = st.fractions(min_value=0, max_value=1, max_denominator=24)
+# the 181 degrees of [0, 1] with denominator ≤ 24, the values st.fractions(0, 1,
+# max_denominator=24) draws; sampling a fixed list is far cheaper per draw
+degrees = st.sampled_from(sorted({F(n, d) for d in range(1, 25) for n in range(d + 1)}))
 
 
 def vectors(n):

@@ -569,6 +569,24 @@ def test_eval_rejects_a_supervisor_of_other_events(tmp_path, table, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize("kind, field, entries, keys", [
+    ("language", "degrees", {"": "2", "eps": "1"}, "'' and 'eps'"),
+    ("language", "degrees", {"a": "0.3", " a ": "0.7"}, "'a' and ' a '"),
+    ("supervisor", "table", {"ε": {"a": "1"}, " ": {"a": "0"}}, "'ε' and ' '"),
+])
+def test_repeated_strings_exit_two(tmp_path, kind, field, entries, keys):
+    """Two keys naming one string are a parse error naming both keys, not
+    a silent choice of the last one."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(ONE_STATE))
+    doc = {"kind": kind, "alphabet": ["a"], field: entries}
+    bad.write_text(json.dumps({**doc, "mode": "explicit"} if kind == "supervisor" else doc))
+    args = ("check", good, bad) if kind == "language" else ("eval", bad, good, "a")
+    result = invoke(*args)
+    assert_clean_exit(result, 2)
+    assert f"error: {bad}: '{field}' keys {keys} name one string" in result.output
+
+
 def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
     target = tmp_path / "quoted.json"
     events = {'a"1': [["1"]], "b\\": [["0.5"]]}
