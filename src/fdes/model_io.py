@@ -87,12 +87,13 @@ def _by_string(entries: dict, name: str, where: str) -> dict:
     """The values of a string-keyed field, keyed by the event strings their
     keys name; two keys for one string ("" and "eps", "a b" and "a  b") are
     a ParseError naming both."""
-    out, keys = {}, {}
-    for text, value in entries.items():
-        s = string_from_text(text)
-        if s in keys:
-            raise ParseError(f"{where}: {name!r} keys {keys[s]!r} and {text!r} name one string")
-        keys[s], out[s] = text, value
+    out = {string_from_text(text): value for text, value in entries.items()}
+    if len(out) < len(entries):  # some string is named twice: report the first repeat
+        keys: Dict[tuple, str] = {}
+        for text in entries:
+            first = keys.setdefault(string_from_text(text), text)
+            if first != text:
+                raise ParseError(f"{where}: {name!r} keys {first!r} and {text!r} name one string")
     return out
 
 
