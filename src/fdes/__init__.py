@@ -7,12 +7,7 @@ from .algebra import (
     identity,
     inner_sup,
     max_element,
-    maxmin_apply,
-    maxmin_matmul,
-    maxprod_apply,
-    maxprod_matmul,
     parse_degree,
-    tensor,
 )
 from .automaton import (
     FuzzyAutomaton,
@@ -20,12 +15,9 @@ from .automaton import (
     marked_degree,
     parallel_compose,
     run,
-    step,
 )
 from .language import (
     FiniteSupportFuzzyLanguage,
-    fuzzy_and,
-    fuzzy_or,
     infimal_prefix_closed_superlanguage,
     is_controllable_wrt,
     prefix_closure,
@@ -34,10 +26,8 @@ from .language import (
 from .reachability import (
     ComputingTreeNode,
     ReachableStateGraph,
-    StateClassAutomaton,
     build_computing_tree,
     build_pair_computing_tree,
-    class_automaton,
     enumerate_pairs,
     enumerate_states,
     graph_to_dot,

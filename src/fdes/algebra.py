@@ -1,9 +1,9 @@
-"""Exact scalar, vector, and matrix arithmetic over the (max, min) and
-(max, ×) semirings, plus Kronecker tensor products.
+"""Exact degrees: parsing and formatting, the Kronecker tensor products that
+parallel composition builds on, and the reductions of a fuzzy state.
 
 Degrees are `fractions.Fraction` values in [0, 1].  Vectors and matrices are
-immutable tuples of Fractions, so computed states hash consistently and can
-key the deduplication sets used by reachability.  All operations are pure.
+immutable tuples of Fractions, so they hash consistently.  All operations are
+pure.  A fuzzy state is stepped by its automaton's `StepTable`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from fractions import Fraction
 from typing import Iterable, List, Sequence, Union
 
 from .errors import DimensionError, RangeError
-
-Degree = Fraction
-FuzzyVector = "tuple[Fraction, ...]"
-FuzzyMatrix = "tuple[tuple[Fraction, ...], ...]"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -116,59 +112,11 @@ def format_table(rows: Sequence[Sequence[str]]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# semiring products
-
-
-def _check_apply_dims(v: Sequence, m: Sequence) -> None:
-    if len(v) != len(m):
-        raise DimensionError(f"vector of dim {len(v)} times matrix with {len(m)} rows")
-
-
-def maxmin_apply(v: Sequence[Fraction], m: Sequence[Sequence[Fraction]]) -> tuple:
-    """(v ⊙ m)[j] = max over l of min(v[l], m[l][j])."""
-    _check_apply_dims(v, m)
-    return tuple(max(min(v[l], m[l][j]) for l in range(len(v))) for j in range(len(m[0])))
-
-
-def maxprod_apply(v: Sequence[Fraction], m: Sequence[Sequence[Fraction]]) -> tuple:
-    """(v ∘ m)[j] = max over l of v[l] × m[l][j], exactly."""
-    _check_apply_dims(v, m)
-    return tuple(max(v[l] * m[l][j] for l in range(len(v))) for j in range(len(m[0])))
-
-
-def apply_event(v: Sequence, m: Sequence, semantics: Semantics) -> tuple:
-    """Semantics-dispatched vector-matrix product."""
-    if semantics is Semantics.MAX_MIN:
-        return maxmin_apply(v, m)
-    return maxprod_apply(v, m)
-
-
-def maxmin_matmul(a: Sequence, b: Sequence) -> tuple:
-    """(max, min) semiring matrix product."""
-    if len(a[0]) != len(b):
-        raise DimensionError(f"inner dimensions {len(a[0])} and {len(b)} disagree")
-    return tuple(
-        tuple(max(min(a[i][l], b[l][j]) for l in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def maxprod_matmul(a: Sequence, b: Sequence) -> tuple:
-    """(max, ×) semiring matrix product."""
-    if len(a[0]) != len(b):
-        raise DimensionError(f"inner dimensions {len(a[0])} and {len(b)} disagree")
-    return tuple(
-        tuple(max(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+# tensor products
 
 
 def identity(n: int) -> tuple:
     return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-# ---------------------------------------------------------------------------
-# tensor products
 
 
 def tensor_vectors(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
@@ -183,15 +131,6 @@ def tensor_matrices(a: Sequence, b: Sequence) -> tuple:
         tuple(a[i // n2][j // n2] * b[i % n2][j % n2] for j in range(len(a[0]) * len(b[0])))
         for i in range(len(a) * n2)
     )
-
-
-def tensor(a, b):
-    """Tensor product of two vectors or two matrices (same kind)."""
-    a_is_matrix = bool(a) and isinstance(a[0], tuple)
-    b_is_matrix = bool(b) and isinstance(b[0], tuple)
-    if a_is_matrix != b_is_matrix:
-        raise DimensionError("tensor needs two vectors or two matrices, not a mix")
-    return tensor_matrices(a, b) if a_is_matrix else tensor_vectors(a, b)
 
 
 # ---------------------------------------------------------------------------

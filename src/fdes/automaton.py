@@ -228,11 +228,6 @@ class StepTable:
         return tuple([fractions[x, den] for x in nums])
 
 
-def step(g: FuzzyAutomaton, q: Sequence, e: str) -> tuple:
-    """One transition of any Fraction vector: q̃ ⊙ σ̃ (or ∘ under max-product)."""
-    return algebra.apply_event(q, g.matrix(e), g.semantics)
-
-
 def run(g: FuzzyAutomaton, s: Iterable[str]) -> tuple:
     """q̃0 * s: the string folded on g's step table, decoded once."""
     table = g.table()

@@ -52,7 +52,7 @@ def guarded(fn):
 def emit(text: str, out: Optional[str]) -> None:
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise FdesError(f"{out}: cannot write: {exc.strerror or exc}") from None

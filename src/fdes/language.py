@@ -79,10 +79,6 @@ class FiniteSupportFuzzyLanguage:
         return hash((frozenset(self.alphabet), frozenset(self.degrees.items())))
 
 
-def zero_language(alphabet: Iterable[str]) -> FiniteSupportFuzzyLanguage:
-    return FiniteSupportFuzzyLanguage(tuple(alphabet), {})
-
-
 def prefix_closure(l: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
     """pr(l)(s) = max degree of any member extending s; idempotent."""
     out: Dict[EventString, Fraction] = {}
@@ -97,22 +93,6 @@ def prefix_closure(l: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
 def is_prefix_closed(l: FiniteSupportFuzzyLanguage) -> bool:
     """pr(l) = l: no string of the support has a higher degree than its parent."""
     return all(l.degrees.get(s[:-1], ZERO) >= d for s, d in l.degrees.items() if s)
-
-
-def fuzzy_and(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
-    """Pointwise Zadeh AND (min)."""
-    require_same_alphabet(a, b)
-    return a.with_degrees({s: min(d, b(s)) for s, d in a.degrees.items()})
-
-
-def fuzzy_or(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> FiniteSupportFuzzyLanguage:
-    """Pointwise Zadeh OR (max)."""
-    require_same_alphabet(a, b)
-    merged = dict(a.degrees)
-    for s, d in b.degrees.items():
-        if d > merged.get(s, ZERO):
-            merged[s] = d
-    return a.with_degrees(merged)
 
 
 def is_sublanguage(a: FiniteSupportFuzzyLanguage, b: FiniteSupportFuzzyLanguage) -> bool:

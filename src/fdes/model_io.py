@@ -26,9 +26,18 @@ SCHEMA_VERSION = "1"
 
 
 def load_document(path: str) -> dict:
+    def unique(pairs: list) -> dict:
+        """An object whose keys are distinct; json.load would keep the last of two."""
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # name the first key met twice
+            keys = [k for k, _ in pairs]
+            key = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise ParseError(f"{path}: key {key!r} repeated in one object")
+        return obj
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
     except FileNotFoundError:
         raise ParseError(f"{path}: no such file") from None
     except UnicodeDecodeError as exc:
@@ -42,12 +51,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     return doc
-
-
-def save_document(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def detect_kind(doc: dict) -> str:

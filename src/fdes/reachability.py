@@ -211,25 +211,6 @@ def _pair_table(g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton) -> Tuple[tuple, Tupl
 
 
 # ---------------------------------------------------------------------------
-# string-class automata  C(q̃) = { s : q̃0 * s = q̃ }
-
-
-@dataclass
-class StateClassAutomaton:
-    graph: ReachableStateGraph
-    accepting: int
-
-    def accepts(self, s: Sequence[str]) -> bool:
-        return self.graph.replay(s) == self.accepting
-
-
-def class_automaton(graph: ReachableStateGraph, target) -> StateClassAutomaton:
-    if isinstance(target, list):
-        target = tuple(target)
-    return StateClassAutomaton(graph, graph.index_of(target))
-
-
-# ---------------------------------------------------------------------------
 # DOT emission
 
 

@@ -3,24 +3,22 @@
 Everything here is deliberately naive: set-based crisp controllability,
 exhaustive candidate search over a finite value lattice, plain nested loops.
 The point is to have independently-written baselines to compare the library
-against, so nothing below imports from fdes beyond the data containers
-and the controllability witness finder `_violation`, which the iterated
-closures rescan with after every fix.  Fuzzy states are stepped by plain
-nested Fraction loops of their own (`fraction_step`), not by the library's
-kernels.
+against, so nothing below imports from fdes beyond the data containers,
+the errors, the alphabet check `require_same_alphabet`, and the
+controllability witness finder `_violation`, which the iterated closures
+rescan with after every fix.  Fuzzy states are stepped by
+the plain nested Fraction loops below (`fraction_step`); the library steps
+them on its integer `StepTable` only, and is checked against these.
 """
 from fractions import Fraction
 from itertools import product
-from operator import mul
 
 from fdes.algebra import ONE, ZERO, Semantics
-from fdes.automaton import FuzzyAutomaton
-from fdes.errors import NotCrisp
+from fdes.automaton import FuzzyAutomaton, require_same_alphabet
+from fdes.errors import DimensionError, NotCrisp
 from fdes.language import (
     FiniteSupportFuzzyLanguage,
     _violation,
-    fuzzy_and,
-    fuzzy_or,
     infimal_prefix_closed_superlanguage,
     is_controllable_wrt,
     is_prefix_closed,
@@ -32,6 +30,65 @@ from fdes.supervisory import EventAttributes, ExplicitSupervisor
 
 HALF_STEPS = tuple(Fraction(n, 10) for n in range(11))
 SMALL_LATTICE = (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1))
+
+
+# --- Fraction semiring kernels and the pointwise language lattice -----------
+
+def _check_apply_dims(v, m):
+    if len(v) != len(m):
+        raise DimensionError(f"vector of dim {len(v)} times matrix with {len(m)} rows")
+
+
+def maxmin_apply(v, m):
+    """(v ⊙ m)[j] = max over l of min(v[l], m[l][j])."""
+    _check_apply_dims(v, m)
+    return tuple(max(min(v[l], m[l][j]) for l in range(len(v))) for j in range(len(m[0])))
+
+
+def maxprod_apply(v, m):
+    """(v ∘ m)[j] = max over l of v[l] × m[l][j], exactly."""
+    _check_apply_dims(v, m)
+    return tuple(max(v[l] * m[l][j] for l in range(len(v))) for j in range(len(m[0])))
+
+
+def maxmin_matmul(a, b):
+    """(max, min) semiring matrix product."""
+    if len(a[0]) != len(b):
+        raise DimensionError(f"inner dimensions {len(a[0])} and {len(b)} disagree")
+    return tuple(
+        tuple(max(min(a[i][l], b[l][j]) for l in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def maxprod_matmul(a, b):
+    """(max, ×) semiring matrix product."""
+    if len(a[0]) != len(b):
+        raise DimensionError(f"inner dimensions {len(a[0])} and {len(b)} disagree")
+    return tuple(
+        tuple(max(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def zero_language(alphabet):
+    return FiniteSupportFuzzyLanguage(tuple(alphabet), {})
+
+
+def fuzzy_and(a, b):
+    """Pointwise Zadeh AND (min)."""
+    require_same_alphabet(a, b)
+    return a.with_degrees({s: min(d, b(s)) for s, d in a.degrees.items()})
+
+
+def fuzzy_or(a, b):
+    """Pointwise Zadeh OR (max)."""
+    require_same_alphabet(a, b)
+    merged = dict(a.degrees)
+    for s, d in b.degrees.items():
+        if d > merged.get(s, ZERO):
+            merged[s] = d
+    return a.with_degrees(merged)
 
 
 # --- crisp set-based controllability ---------------------------------------
@@ -421,10 +478,9 @@ def admissibility_by_replay(sup, g, attrs, n):
 # --- supervisory conditions by plain Fraction replay ----------------------------
 
 def fraction_step(g, q, e):
-    """q * e by plain nested max/min (max-min) or max/product loops."""
-    m = g.matrix(e)
-    times = min if g.semantics is Semantics.MAX_MIN else mul
-    return tuple(max(times(q[i], m[i][j]) for i in range(len(q))) for j in range(len(q)))
+    """q * e by the Fraction kernel of g's semantics."""
+    apply = maxmin_apply if g.semantics is Semantics.MAX_MIN else maxprod_apply
+    return apply(q, g.matrix(e))
 
 
 def fraction_run(g, s):

@@ -18,7 +18,7 @@ import oracles
 from conftest import MODELS
 from fdes import reachability as reach
 from fdes.algebra import ONE, ZERO, format_vector, parse_degree
-from fdes.automaton import parallel_compose, step
+from fdes.automaton import parallel_compose, run
 from fdes.errors import DepthExceeded
 from fdes.supervisory import (
     check_controllability,
@@ -254,7 +254,7 @@ def test_c06_composition_walkthrough(compose_pair, compose_pair_maxprod):
     gc = parallel_compose(*compose_pair)
     assert gc.initial == REFERENCE_TENSOR
     assert gc.matrix("a1") == REFERENCE_BLOCK
-    assert step(gc, gc.initial, "a1") == REFERENCE_MAXMIN_STEP
+    assert run(gc, ("a1",)) == REFERENCE_MAXMIN_STEP
 
     gp = parallel_compose(*compose_pair_maxprod)
     assert gp.initial == REFERENCE_TENSOR
@@ -262,7 +262,7 @@ def test_c06_composition_walkthrough(compose_pair, compose_pair_maxprod):
     reference = tuple(
         apply_errata(dict(enumerate(PRINTED_MAXPROD_STEP, 1)), MAXPROD_STEP_ERRATA).values()
     )
-    stepped = step(gp, gp.initial, "a1")
+    stepped = run(gp, ("a1",))
     assert stepped == reference, (
         "max-product step differs from the corrected reference vector: "
         f"computed {format_vector(stepped)}, "

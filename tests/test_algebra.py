@@ -8,7 +8,6 @@ from fdes.algebra import (
     ONE,
     ZERO,
     Semantics,
-    apply_event,
     as_matrix,
     as_vector,
     format_degree,
@@ -16,16 +15,13 @@ from fdes.algebra import (
     identity,
     inner_sup,
     max_element,
-    maxmin_apply,
-    maxmin_matmul,
-    maxprod_apply,
-    maxprod_matmul,
     parse_degree,
-    tensor,
     tensor_matrices,
     tensor_vectors,
 )
+from fdes.automaton import FuzzyAutomaton
 from fdes.errors import DimensionError, ParseError, RangeError
+from oracles import fraction_step, maxmin_apply, maxmin_matmul, maxprod_apply, maxprod_matmul
 
 F = Fraction
 
@@ -121,9 +117,12 @@ def test_maxprod_apply_small():
 
 
 def test_apply_event_dispatch():
+    """The oracle's step applies the kernel of the automaton's semantics."""
     v = as_vector(["0.9", "0.1"])
-    assert apply_event(v, ALPHA1, Semantics.MAX_MIN) == maxmin_apply(v, ALPHA1)
-    assert apply_event(v, ALPHA1, Semantics.MAX_PRODUCT) == maxprod_apply(v, ALPHA1)
+    g = FuzzyAutomaton(("q1", "q2"), {"a": ALPHA1}, v)
+    assert fraction_step(g, v, "a") == maxmin_apply(v, ALPHA1)
+    g = FuzzyAutomaton(("q1", "q2"), {"a": ALPHA1}, v, semantics=Semantics.MAX_PRODUCT)
+    assert fraction_step(g, v, "a") == maxprod_apply(v, ALPHA1)
 
 
 def test_apply_dimension_mismatch():
@@ -167,6 +166,15 @@ def test_maxmin_apply_bounded_by_inputs(v, m):
 
 
 # --- tensor ------------------------------------------------------------------
+
+
+def tensor(a, b):
+    """Tensor product of two vectors or two matrices (same kind)."""
+    a_is_matrix = bool(a) and isinstance(a[0], tuple)
+    b_is_matrix = bool(b) and isinstance(b[0], tuple)
+    if a_is_matrix != b_is_matrix:
+        raise DimensionError("tensor needs two vectors or two matrices, not a mix")
+    return tensor_matrices(a, b) if a_is_matrix else tensor_vectors(a, b)
 
 
 def test_tensor_vectors_blocks():

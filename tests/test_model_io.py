@@ -13,6 +13,12 @@ from fdes.language import FiniteSupportFuzzyLanguage
 from fdes.supervisory import EventAttributes, ExplicitSupervisor, synthesize_supervisor
 
 
+def save_document(doc, path):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def minimal_model_doc(**overrides):
     doc = {
         "kind": "model",
@@ -74,7 +80,7 @@ def test_model_round_trip(tmp_path):
         sem = rng.choice([Semantics.MAX_MIN, Semantics.MAX_PRODUCT])
         g = oracles.random_automaton(rng, semantics=sem, marked=rng.random() < 0.5)
         path = tmp_path / "model.json"
-        model_io.save_document(model_io.model_to_doc(g), str(path))
+        save_document(model_io.model_to_doc(g), str(path))
         g2, attrs = model_io.parse_model(str(path))
         assert attrs is None
         assert g2 == g

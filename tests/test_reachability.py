@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -10,9 +10,9 @@ from fdes.algebra import Semantics, as_vector, format_vector
 from fdes.errors import DepthExceeded, SemanticsMismatch, TargetNotReachable
 from fdes.reachability import (
     DEFAULT_MAX_PRODUCT_DEPTH,
+    ReachableStateGraph,
     build_computing_tree,
     build_pair_computing_tree,
-    class_automaton,
     enumerate_pairs,
     enumerate_states,
     format_label,
@@ -25,6 +25,24 @@ F = Fraction
 
 def v(*entries):
     return as_vector(entries)
+
+
+@dataclass
+class StateClassAutomaton:
+    """The strings of one class C(q̃) = { s : q̃0 * s = q̃ }, read off a
+    reachable-state graph."""
+
+    graph: ReachableStateGraph
+    accepting: int
+
+    def accepts(self, s):
+        return self.graph.replay(s) == self.accepting
+
+
+def class_automaton(graph, target):
+    if isinstance(target, list):
+        target = tuple(target)
+    return StateClassAutomaton(graph, graph.index_of(target))
 
 
 EXPECTED_TWO_STATE = [

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fdes import algebra
 from fdes.algebra import ONE, ZERO, Semantics
 from fdes.automaton import FuzzyAutomaton, StepTable, generated_degree
 from fdes.errors import DepthExceeded, UnknownEvent
@@ -196,7 +195,6 @@ def test_maxprod_walks_do_no_fraction_products(monkeypatch, maxprod_open):
 
         return refuse
 
-    monkeypatch.setattr(algebra, "maxprod_apply", spy("maxprod_apply"))
     monkeypatch.setattr(F, "__mul__", spy("Fraction.__mul__"))
     monkeypatch.setattr(F, "__rmul__", spy("Fraction.__rmul__"))
     assert len(check_n_controllability(g, g, attrs, 6).rows) == 2 * (2**7 - 1)

