@@ -15,7 +15,7 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import algebra
-from .algebra import Semantics, ZERO, ONE
+from .algebra import Semantics, ZERO
 from .errors import (
     AlphabetMismatch,
     DimensionError,
@@ -87,10 +87,7 @@ class FuzzyAutomaton:
             raise _unknown(e, self.events) from None
 
     def is_crisp(self) -> bool:
-        values = _degrees(self)
-        for v in self.marked:
-            values.update(v)
-        return values <= {ZERO, ONE}
+        return _degrees(self, marked=True).keys() <= {(0, 1), (1, 1)}
 
     def table(self) -> StepTable:
         """The automaton's `StepTable`, built on first use and cached.
@@ -107,13 +104,14 @@ class FuzzyAutomaton:
         return table
 
 
-def _degrees(g: FuzzyAutomaton) -> set:
-    """The distinct degrees of g's initial vector and event matrices."""
-    degrees = set(g.initial)
-    for m in g.events.values():
-        for row in m:
-            degrees.update(row)
-    return degrees
+def _degrees(g: FuzzyAutomaton, marked: bool = False) -> Dict[Tuple[int, int], Fraction]:
+    """The distinct degrees of g's initial vector and event matrices, and
+    with `marked` those of its marked vectors too, keyed by integer ratio:
+    a pair of ints hashes far faster than a Fraction."""
+    rows = [g.initial]
+    for m in (*g.events.values(), g.marked) if marked else g.events.values():
+        rows.extend(m)
+    return {d.as_integer_ratio(): d for row in rows for d in row}
 
 
 def _unknown(e: str, alphabet: Iterable[str]) -> UnknownEvent:
@@ -156,7 +154,7 @@ class StepTable:
     __slots__ = ("scale", "maxmin", "columns", "fractions", "keys", "ids", "tops", "successors", "initial")
 
     def __init__(self, g: FuzzyAutomaton):
-        degrees = _degrees(g)
+        degrees = _degrees(g).values()
         scale = self.scale = lcm(*(d.denominator for d in degrees))
 
         def scaled(d: Fraction) -> int:

@@ -39,10 +39,6 @@ class NotCrisp(FdesError):
     """A crisp-only operation received a degree outside {0, 1}."""
 
 
-class TargetNotReachable(FdesError):
-    """The requested state is not a node of the reachable-state graph."""
-
-
 class StringNotInLanguage(FdesError):
     """A crisp automaton cannot execute the given string."""
 

@@ -82,7 +82,8 @@ def _require(ok: bool, where: str, what: str) -> None:
 
 def _alphabet(doc: dict, where: str) -> tuple:
     alphabet = _field(doc, "alphabet", where)
-    _require(isinstance(alphabet, list), where, "'alphabet' must be a list of event names")
+    _require(isinstance(alphabet, list) and all(isinstance(e, str) for e in alphabet), where,
+             "'alphabet' must be a list of event names")
     return tuple(alphabet)
 
 
@@ -271,6 +272,8 @@ def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
         spec_l = doc.get("spec_language")
         _require(spec_a is None or isinstance(spec_a, dict), where, "'spec_automaton' must be an object")
         _require(spec_l is None or isinstance(spec_l, dict), where, "'spec_language' must be an object")
+        _require((spec_a is None) != (spec_l is None), where,
+                 "exactly one of 'spec_automaton' and 'spec_language' must be given")
         return SynthesizedSupervisor(
             plant,
             attrs,

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import automaton as fa
 from .algebra import Semantics, format_vector
-from .errors import DepthExceeded, ParseError, TargetNotReachable
+from .errors import DepthExceeded, ParseError
 
 DEFAULT_MAX_PRODUCT_DEPTH = 32
 
@@ -138,19 +138,6 @@ class ReachableStateGraph:
     edges: Dict[Tuple[int, str], int]  # in (node, event) order, as the BFS met them
     witness: Dict[int, Tuple[str, ...]]
     events: Tuple[str, ...]
-
-    def index_of(self, label) -> int:
-        try:
-            return self.nodes.index(label)
-        except ValueError:
-            raise TargetNotReachable(f"{format_label(label)} is not a reachable state") from None
-
-    def replay(self, s: Sequence[str]) -> int:
-        """Follow edges from node 0; the edge map is total."""
-        node = 0
-        for e in s:
-            node = self.edges[(node, e)]
-        return node
 
 
 def _bfs(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth: Optional[int]) -> ReachableStateGraph:

@@ -35,8 +35,9 @@ length ≤ n (`_strings`), each string's state stepped from its parent's:
 the bounded check carries pair ids and emits |Σ| rows per string, and
 bounded admissibility and the nonblocking comparison step the controlled
 system (`_controlled`), where a synthesized supervisor's state is its pair
-id and a transition met again is a dict hit.  Reports render each
-distinct degree once per call.
+id and a transition met again is a dict hit; bounded admissibility extends
+one string per (plant state, pair id).  Reports render each distinct
+degree once per call.
 
 Under max-min every degree a walk touches lies in a finite set known up
 front: the plant's and the spec's degrees, K̃, Σ̃uc, 0 and 1, and for the
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import automaton as fa
@@ -182,14 +183,20 @@ def _finish(rows: List[ReportRow], warnings: List[str], n: Optional[int] = None)
     return ControllabilityReport(rows, counterexample is None, counterexample, warnings, n)
 
 
-def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iterator[Tuple[EventString, object]]:
+def _strings(depth: int, alphabet: Sequence[str], start, step: Callable, cls=None) -> Iterator[Tuple[EventString, object]]:
     """(s, state) for every string s of length ≤ depth, level by level with
     events in alphabet order; step(state, σ) gives the state of s·σ from
-    that of s.  One level is held for the next, and the last one not at all."""
-    level = [((), start)]
+    that of s.  One level is held for the next, and the last one not at all.
+    Given cls, only the first string met of each class cls(state) is
+    extended.  That suits a caller that reads s only through its class and
+    stops at its first hit: below a later string of a class, every string
+    repeats one met earlier below the first."""
+    level, seen = [((), start)], set()
     yield level[0]
     for length in range(1, depth + 1):
         parents, level = level, []
+        if cls is not None:
+            parents = [p for p in parents if (c := cls(p[1])) not in seen and not seen.add(c)]
         for s, state in parents:
             for sigma in alphabet:
                 child = (s + (sigma,), step(state, sigma))
@@ -200,14 +207,6 @@ def _strings(depth: int, alphabet: Sequence[str], start, step: Callable) -> Iter
 
 def _same(d):
     return d
-
-
-def _entries(g: FuzzyAutomaton) -> Iterator[Fraction]:
-    """g's initial, event-matrix and marked degrees, repeats included."""
-    yield from g.initial
-    for rows in (*g.events.values(), g.marked):
-        for row in rows:
-            yield from row
 
 
 class _Codec:
@@ -289,12 +288,14 @@ class _PairWalk(dict):
         self.tg = g.table()
         # the step table pr(K̃) is read off: an automaton spec's own, or a language spec's
         if isinstance(spec, FuzzyAutomaton):
-            self.tk, spec_degrees = spec.table(), _entries(spec)
+            self.tk, spec_degrees = spec.table(), fa._degrees(spec, marked=True).values()
         else:
             self.tk, spec_degrees = _LanguageTable(spec), spec.degrees.values()
         # every caller's `fa.require_pairable` gives an automaton spec g's semantics
         finite = g.semantics is Semantics.MAX_MIN
-        self.codec = _Codec([*_entries(g), *spec_degrees, *attrs.uncontrollability.values()] if finite else None)
+        self.codec = _Codec(
+            [*fa._degrees(g, marked=True).values(), *spec_degrees, *attrs.uncontrollability.values()] if finite else None
+        )
         encode = self.codec.encode
         self.uc = {e: encode(d) for e, d in attrs.uncontrollability.items()}
         start = (self.tg.initial, self.tk.initial)
@@ -573,7 +574,7 @@ def _controlled(
     else:
         sup_degrees = [sup.default, *(d for row in sup.table.values() for d in row.values())]
     finite = g.semantics is Semantics.MAX_MIN and sup_degrees is not None
-    codec = _Codec([*_entries(g), *sup_degrees, *extra] if finite else None)
+    codec = _Codec([*fa._degrees(g, marked=True).values(), *sup_degrees, *extra] if finite else None)
     encode = codec.encode
     if isinstance(sup, SynthesizedSupervisor):
         recode, start = codec.recode(walk.codec), 0
@@ -650,10 +651,12 @@ def check_admissibility(
         domain = f"strings of length ≤ {bound}"
         codec, start, step = _controlled(sup, g, attrs.uncontrollability.values())
         uc = {e: codec.encode(attrs.uc(e)) for e in g.alphabet}
-        # (s, σ) is checked at the string s·σ, one longer than s
+        # (s, σ) is checked at the string s·σ, one longer than s, and reads s only
+        # through (g's table state, the supervisor's walk state); only a pair id repeats
+        cls = itemgetter(0, 1) if isinstance(sup, SynthesizedSupervisor) else None
         checks = (
             (t, min(uc[t[-1]], lg), provided)
-            for t, (_, _, lg, provided) in _strings(bound + 1, g.alphabet, start, step)
+            for t, (_, _, lg, provided) in _strings(bound + 1, g.alphabet, start, step, cls)
             if t
         )
     t, required, provided = next((c for c in checks if c[1] > c[2]), ((), None, None))

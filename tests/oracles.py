@@ -15,7 +15,7 @@ from itertools import product
 
 from fdes.algebra import ONE, ZERO, Semantics
 from fdes.automaton import FuzzyAutomaton, require_same_alphabet
-from fdes.errors import DimensionError, NotCrisp
+from fdes.errors import DimensionError, FdesError, NotCrisp
 from fdes.language import (
     FiniteSupportFuzzyLanguage,
     _violation,
@@ -384,6 +384,27 @@ def pair_step(g, h):
 
 def pairs_oracle(g, h, max_depth=None):
     return bfs_oracle((g.initial, h.initial), g.alphabet, pair_step(g, h), max_depth)
+
+
+class TargetNotReachable(FdesError):
+    """The requested state is not a node of the reachable-state graph."""
+
+
+def index_of(graph, label):
+    """The node of a reachable-state graph whose label is `label`."""
+    try:
+        return graph.nodes.index(label)
+    except ValueError:
+        raise TargetNotReachable(f"{label} is not a reachable state") from None
+
+
+def replay(graph, s):
+    """The node of a reachable-state graph that s leads to: the edges
+    followed from node 0; the edge map is total."""
+    node = 0
+    for e in s:
+        node = graph.edges[(node, e)]
+    return node
 
 
 def tree_oracle(root, events, step, max_depth=None):

