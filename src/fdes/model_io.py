@@ -240,8 +240,8 @@ def supervisor_to_doc(sup: Supervisor) -> dict:
             "check_passed": sup.check_passed,
             "plant": model_to_doc(sup.plant),
             "attributes": attributes_to_doc(sup.attrs),
-            "spec_automaton": model_to_doc(sup.spec_automaton) if sup.spec_automaton else None,
-            "spec_language": language_to_doc(sup.spec_language) if sup.spec_language else None,
+            "spec_automaton": model_to_doc(sup.spec) if isinstance(sup.spec, FuzzyAutomaton) else None,
+            "spec_language": None if isinstance(sup.spec, FuzzyAutomaton) else language_to_doc(sup.spec),
             "enablement_rows": [
                 {
                     "s": " ".join(s),
@@ -274,13 +274,12 @@ def parse_supervisor_doc(doc: dict, where: str = "supervisor") -> Supervisor:
         _require(spec_l is None or isinstance(spec_l, dict), where, "'spec_language' must be an object")
         _require((spec_a is None) != (spec_l is None), where,
                  "exactly one of 'spec_automaton' and 'spec_language' must be given")
-        return SynthesizedSupervisor(
-            plant,
-            attrs,
-            spec_automaton=parse_model_doc(spec_a, where=f"{where}.spec_automaton")[0] if spec_a is not None else None,
-            spec_language=parse_language_doc(spec_l, where=f"{where}.spec_language") if spec_l is not None else None,
-            check_passed=doc.get("check_passed"),
-        )
+        check_passed = doc.get("check_passed")
+        _require(isinstance(check_passed, bool) or check_passed is None, where,
+                 "'check_passed' must be true, false or null")
+        spec = (parse_model_doc(spec_a, where=f"{where}.spec_automaton")[0] if spec_l is None
+                else parse_language_doc(spec_l, where=f"{where}.spec_language"))
+        return SynthesizedSupervisor(plant, attrs, spec, check_passed)
     if mode == "explicit":
         table = _field(doc, "table", where)
         _require(isinstance(table, dict) and all(isinstance(row, dict) for row in table.values()), where,

@@ -137,7 +137,6 @@ class ReachableStateGraph:
     nodes: Tuple[tuple, ...]
     edges: Dict[Tuple[int, str], int]  # in (node, event) order, as the BFS met them
     witness: Dict[int, Tuple[str, ...]]
-    events: Tuple[str, ...]
 
 
 def _bfs(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth: Optional[int]) -> ReachableStateGraph:
@@ -168,7 +167,7 @@ def _bfs(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth
             edges[(i, e)] = j
     if overflow:
         raise DepthExceeded(max_depth, [decode(label) for label in overflow])
-    return ReachableStateGraph(tuple(map(decode, nodes)), edges, witness, tuple(events))
+    return ReachableStateGraph(tuple(map(decode, nodes)), edges, witness)
 
 
 def enumerate_states(g: fa.FuzzyAutomaton, max_depth: Optional[int] = None) -> ReachableStateGraph:

@@ -32,8 +32,9 @@ supervisor's rows and exact admissibility read the walk's domain: pr(K̃)'s
 support for a language spec, the pair classes the reachability BFS finds
 for a max-min automaton spec.  The other checks go over all strings of
 length ≤ n (`_strings`), each string's state stepped from its parent's:
-the bounded check carries pair ids and emits |Σ| rows per string, and
-bounded admissibility and the nonblocking comparison step the controlled
+the bounded check carries pair ids and emits |Σ| rows per string, the
+bounded synthesis verdict extends one string per pair id, and bounded
+admissibility and the nonblocking comparison step the controlled
 system (`_controlled`), where a synthesized supervisor's state is its pair
 id and a transition met again is a dict hit; bounded admissibility extends
 one string per (plant state, pair id).  Reports render each distinct
@@ -188,9 +189,10 @@ def _strings(depth: int, alphabet: Sequence[str], start, step: Callable, cls=Non
     events in alphabet order; step(state, σ) gives the state of s·σ from
     that of s.  One level is held for the next, and the last one not at all.
     Given cls, only the first string met of each class cls(state) is
-    extended.  That suits a caller that reads s only through its class and
-    stops at its first hit: below a later string of a class, every string
-    repeats one met earlier below the first."""
+    extended.  That suits a caller that reads s only through its class:
+    below a later string of a class, every string repeats the class of one
+    met earlier below the first, so the classes met stay the same, each
+    first met at the same string."""
     level, seen = [((), start)], set()
     yield level[0]
     for length in range(1, depth + 1):
@@ -376,11 +378,6 @@ def _exact_moves(walk: _PairWalk) -> List[Tuple[EventString, str, tuple]]:
     return [(s, sigma, walk[i, sigma][1]) for i, s in walk.domain().items() for sigma in walk.alphabet]
 
 
-def _first_failure(moves: List[Tuple[EventString, str, tuple]]) -> Optional[ReportRow]:
-    """The row of the first failing move, the only row built."""
-    return next((ReportRow(s, sigma, *row) for s, sigma, row in moves if not row[-1]), None)
-
-
 def _exact_report(walk: _PairWalk) -> ControllabilityReport:
     """The exact check: a row for each (s, σ) of the walk's domain, and a
     warning at the first s with pr(K̃)(s) > L_G̃(s)."""
@@ -466,32 +463,25 @@ class SynthesizedSupervisor:
 
     plant: FuzzyAutomaton
     attrs: EventAttributes
-    spec_automaton: Optional[FuzzyAutomaton] = None
-    spec_language: Optional[FiniteSupportFuzzyLanguage] = None
+    spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage]
     check_passed: Optional[bool] = None
     # the (plant, spec) pair walk every enablement degree is read off
     _walk: _PairWalk = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.spec_automaton is None) == (self.spec_language is None):
-            raise ValueError("exactly one of spec_automaton / spec_language required")
-        spec = self.spec_language if self.spec_automaton is None else self.spec_automaton
-        fa.require_pairable(self.plant, spec)
-        self._walk = _PairWalk(self.plant, spec, self.attrs)
+        fa.require_pairable(self.plant, self.spec)
+        self._walk = _PairWalk(self.plant, self.spec, self.attrs)
 
     @property
     def alphabet(self) -> Tuple[str, ...]:
         return self.plant.alphabet
-
-    def prk_degree(self, s: EventString) -> Fraction:
-        return self._walk.codec.decode(self._walk.prk[self._walk.pair(s)])
 
     def enablement_degree(self, s: EventString, sigma: str) -> Fraction:
         return self._walk.codec.decode(self._walk.enablement(self._walk.pair(s), sigma))
 
     def rows(self) -> List[Tuple[EventString, Dict[str, Fraction]]]:
         """One representative enablement row per distinguishable input."""
-        if self.spec_automaton is not None and self.plant.semantics is not Semantics.MAX_MIN:
+        if isinstance(self.spec, FuzzyAutomaton) and self.plant.semantics is not Semantics.MAX_MIN:
             raise SemanticsMismatch("no finite representative table for a max-product pair")
         walk, decode = self._walk, self._walk.codec.decode
         return [
@@ -538,21 +528,23 @@ def synthesize_supervisor(
     spec: Union[FuzzyAutomaton, FiniteSupportFuzzyLanguage],
     attrs: EventAttributes,
 ) -> SynthesizedSupervisor:
-    """Build the constructive supervisor; runs the matching controllability
-    check first and flags the result (synthesis itself is total).  Only a
-    max-product automaton spec is checked on bounded strings, to
-    `CHECK_DEPTH`; the other checks are exact and run on the supervisor's
-    own walk."""
-    fa.require_pairable(g, spec)
-    if not isinstance(spec, FuzzyAutomaton):
-        sup = SynthesizedSupervisor(g, attrs, spec_language=spec)
-    elif g.semantics is Semantics.MAX_MIN:
-        sup = SynthesizedSupervisor(g, attrs, spec_automaton=spec)
+    """Build the constructive supervisor and flag whether the matching
+    controllability check passes (synthesis itself is total), read off the
+    supervisor's own walk.  The check is exact over the walk's domain but
+    for a max-product automaton spec, whose check covers the pair ids of
+    the strings of length ≤ `CHECK_DEPTH`: a bounded row reads its string
+    only through its pair id."""
+    sup = SynthesizedSupervisor(g, attrs, spec)
+    walk = sup._walk
+    if isinstance(spec, FuzzyAutomaton) and g.semantics is not Semantics.MAX_MIN:
+        attrs.require_alphabet(g.alphabet)
+        step = lambda i, sigma: walk[i, sigma][0]
+        ids = dict.fromkeys(i for _, i in _strings(CHECK_DEPTH, g.alphabet, 0, step, _same))
     else:
-        report = check_n_controllability(g, spec, attrs, CHECK_DEPTH)
-        return SynthesizedSupervisor(g, attrs, spec_automaton=spec, check_passed=report.overall)
-    _require_exact(g, spec, attrs)
-    sup.check_passed = _first_failure(_exact_moves(sup._walk)) is None
+        _require_exact(g, spec, attrs)
+        ids = walk.domain()
+    # every move computed, so the supervisor's rows step no table later
+    sup.check_passed = all([walk[i, sigma][1][-1] for i in ids for sigma in g.alphabet])
     return sup
 
 
@@ -631,7 +623,7 @@ def check_admissibility(
     exact = (
         n is None
         and isinstance(sup, SynthesizedSupervisor)
-        and sup.spec_automaton is not None
+        and isinstance(sup.spec, FuzzyAutomaton)
         and (sup.plant is g or (sup.plant == g and sup.plant.alphabet == g.alphabet))
         and g.semantics is Semantics.MAX_MIN
     )
@@ -759,7 +751,7 @@ def check_nonblocking(
             condition_a, a_witness = False, t
 
     # (b)  the controllability condition for K against L(G), on the same walk
-    b_witness = _first_failure(_exact_moves(walk))
+    b_witness = next((ReportRow(s, sigma, *row) for s, sigma, row in _exact_moves(walk) if not row[-1]), None)
 
     # direct bounded comparison for the supervisor actually given, on codes
     if depth is None:

@@ -444,12 +444,18 @@ def strings_up_to(alphabet, depth):
     return out
 
 
+def prk_degree(sup, s):
+    """pr(K)(s) of a synthesized supervisor's spec, read off its pair walk."""
+    walk = sup._walk
+    return walk.codec.decode(walk.prk[walk.pair(s)])
+
+
 def prk_by_replay(sup, s):
     """pr(K)(s) of a synthesized supervisor's spec, replayed from p0 or read
     off K's support."""
-    if sup.spec_automaton is not None:
-        return replay_generated(sup.spec_automaton, s)
-    return prefix_degree(sup.spec_language, s)
+    if isinstance(sup.spec, FuzzyAutomaton):
+        return replay_generated(sup.spec, s)
+    return prefix_degree(sup.spec, s)
 
 
 def enablement_by_replay(sup, s, e):

@@ -476,6 +476,10 @@ ONE_STATE = {"kind": "model", "semantics": "max-min", "states": ["q"], "initial"
                     "attributes": {"kind": "attributes", "uncontrollability": {"a": "0"}},
                     "spec_automaton": ONE_STATE, "spec_language": {"alphabet": ["a"], "degrees": {"": "1"}}},
      "exactly one of 'spec_automaton' and 'spec_language'"),
+    *(("supervisor", {"kind": "supervisor", "mode": "synthesized", "plant": ONE_STATE,
+                      "attributes": {"kind": "attributes", "uncontrollability": {"a": "0"}},
+                      "spec_automaton": ONE_STATE, "check_passed": value}, "'check_passed'")
+      for value in ("x", 1)),
 ])
 def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
     """A field of the wrong type is a parse error that names the document

@@ -59,11 +59,10 @@ EXPECTED_TWO_STATE = [
 def test_enumerate_states_two_state_plant(two_state):
     g, _ = two_state
     graph = enumerate_states(g)
-    assert graph.events == ("a1", "a2")
     listing = [(graph.witness[i], node) for i, node in enumerate(graph.nodes)]
     assert listing == EXPECTED_TWO_STATE
     # the transition relation is total: one edge per node per event
-    assert len(graph.edges) == len(graph.nodes) * len(graph.events)
+    assert len(graph.edges) == len(graph.nodes) * len(g.alphabet)
 
 
 def test_replay_and_index_of(two_state):

@@ -13,6 +13,7 @@ from fdes.errors import AlphabetMismatch, ParseError, SemanticsMismatch, StringN
 from fdes.language import FiniteSupportFuzzyLanguage, prefix_closure
 from fdes.reachability import build_computing_tree, build_pair_computing_tree, enumerate_pairs, enumerate_states
 from fdes.supervisory import (
+    CHECK_DEPTH,
     REPORT_HEADERS,
     EventAttributes,
     ExplicitSupervisor,
@@ -225,13 +226,13 @@ def test_synthesize_branches_follow_the_construction(two_state, attrs_two_state)
     assert sup.enablement_degree((), "a1") == F(4, 5)
     # uc(a2)=0.2 >= pr(K)(a2)=0.2: enable at min(uc, L_G(s sigma))
     assert sup.enablement_degree((), "a2") == F(1, 5)
-    assert sup.prk_degree(()) == F(4, 5)
+    assert oracles.prk_degree(sup, ()) == F(4, 5)
 
 
 def test_supervisor_rejects_a_spec_of_other_semantics(two_state, attrs_two_state):
     g, h = two_state
     plant = replace(g, semantics=Semantics.MAX_PRODUCT)
-    for build in (synthesize_supervisor, lambda g, h, attrs: SynthesizedSupervisor(g, attrs, spec_automaton=h)):
+    for build in (synthesize_supervisor, lambda g, h, attrs: SynthesizedSupervisor(g, attrs, h)):
         with pytest.raises(SemanticsMismatch, match="^plant and specification must share semantics$"):
             build(plant, h, attrs_two_state)
 
@@ -240,9 +241,58 @@ def test_supervisor_rejects_a_spec_language_of_other_alphabet(chain):
     g, _, attrs_ok, _ = chain
     k = FiniteSupportFuzzyLanguage(("a", "b", "z"), {(): ONE, ("z",): F(1, 2)})
     message = r"^language alphabet \['a', 'b', 'z'\] != plant alphabet \['a', 'b', 'c'\]$"
-    for build in (synthesize_supervisor, lambda g, k, attrs: SynthesizedSupervisor(g, attrs, spec_language=k)):
+    for build in (synthesize_supervisor, lambda g, k, attrs: SynthesizedSupervisor(g, attrs, k)):
         with pytest.raises(AlphabetMismatch, match=message):
             build(g, k, attrs_ok)
+
+
+def test_synthesis_verdict_equals_the_matching_check_random():
+    """check_passed is the overall verdict of the check that matches the
+    spec: the exact checks for a max-min automaton spec and for a language
+    spec, and the bounded check to CHECK_DEPTH for a max-product automaton
+    spec, whose instances pass and fail first at lengths 0, 1 and ≥ 2."""
+    rng, outcomes = random.Random(26), set()
+    for _ in range(40):
+        g, h = oracles.dominated_pair(rng, max_events=2, semantics=Semantics.MAX_PRODUCT)
+        attrs = oracles.random_attrs(rng, g.alphabet)
+        sup = synthesize_supervisor(g, h, attrs)
+        report = check_n_controllability(g, h, attrs, CHECK_DEPTH)
+        assert (sup.spec, sup.check_passed) == (h, report.overall)
+        outcomes.add(report.overall or min(len(report.counterexample.representative), 2))
+    assert outcomes == {True, 0, 1, 2}
+    verdicts = set()
+    for rng, g, h, k, attrs in random_supervised_instances(54, 30):
+        low = oracles.random_attrs(rng, g.alphabet, palette=(ZERO, F(1, 10)))  # lets a language spec pass
+        for spec, check, attrs in ((h, check_controllability, attrs), (k, check_language_controllability, low)):
+            sup = synthesize_supervisor(g, spec, attrs)
+            assert (sup.spec, sup.check_passed) == (spec, check(g, spec, attrs).overall)
+            verdicts.add((check, sup.check_passed))
+    assert len(verdicts) == 4
+
+
+def test_synthesis_builds_one_walk_and_no_report_row(monkeypatch, two_state, attrs_two_state, chain):
+    """Synthesis reads its verdict off the supervisor's own walk, for a
+    max-min and a max-product automaton spec and for a language spec, each
+    failing its check: it builds one pair walk and no report row."""
+    walks = []
+
+    class CountedWalk(fdes.supervisory._PairWalk):
+        def __init__(self, *args):
+            walks.append(self)
+            super().__init__(*args)
+
+    def built_a_row(*args):
+        raise AssertionError("built a report row")
+
+    monkeypatch.setattr(fdes.supervisory, "_PairWalk", CountedWalk)
+    monkeypatch.setattr(fdes.supervisory, "ReportRow", built_a_row)
+    g, h = two_state
+    plant, k, _, attrs_bad = chain
+    g_p, h_p = (replace(a, semantics=Semantics.MAX_PRODUCT) for a in (g, h))
+    for g, spec, attrs in ((g, h, attrs_two_state), (g_p, h_p, attrs_two_state), (plant, k, attrs_bad)):
+        walks.clear()
+        sup = synthesize_supervisor(g, spec, attrs)
+        assert (walks, sup.check_passed) == ([sup._walk], False)
 
 
 def test_controlled_language_fold(chain):
@@ -420,7 +470,7 @@ def random_supervised_instances(seed, count):
 def test_supervisor_rows_equal_their_replay_definition_random():
     for _, g, h, _, attrs in random_supervised_instances(51, 30):
         witnesses = oracles.pairs_oracle(g, h)[2].values()
-        for sup in (synthesize_supervisor(g, h, attrs), SynthesizedSupervisor(g, attrs, spec_automaton=h)):
+        for sup in (synthesize_supervisor(g, h, attrs), SynthesizedSupervisor(g, attrs, h)):
             assert sup.rows() == [(w, {e: oracles.enablement_by_replay(sup, w, e) for e in g.alphabet}) for w in witnesses]
 
 
@@ -463,7 +513,7 @@ def test_supervised_walks_equal_their_replay_definition_random():
             strings = oracles.strings_up_to(g.alphabet, 3)
             for s in rng.sample(strings, min(8, len(strings))):
                 assert controlled_generated_degree(sup, g, s) == oracles.controlled_degree_by_replay(sup, g, s)
-                assert sup.prk_degree(s) == oracles.prk_by_replay(sup, s)
+                assert oracles.prk_degree(sup, s) == oracles.prk_by_replay(sup, s)
                 for e in g.alphabet:
                     assert sup.enablement_degree(s, e) == oracles.enablement_by_replay(sup, s, e)
             res = check_admissibility(sup, g, other_attrs, n=2)
@@ -623,7 +673,7 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
 
     g, h = two_state
     check_controllability(g, h, attrs_two_state)
-    sups = [synthesize_supervisor(g, h, attrs_two_state), SynthesizedSupervisor(g, attrs_two_state, spec_automaton=h)]
+    sups = [synthesize_supervisor(g, h, attrs_two_state), SynthesizedSupervisor(g, attrs_two_state, h)]
     with monkeypatch.context() as m:
         m.setattr(fdes.automaton, "run", replayed)
         m.setattr(fdes.automaton, "generated_degree", replayed)
@@ -647,7 +697,7 @@ def test_graph_paths_replay_nothing(monkeypatch, two_state, attrs_two_state, cha
     foreign = [
         (synthesize_supervisor(h, h, attrs_two_state), g),
         (synthesize_supervisor(reordered, h, attrs_two_state), g),
-        (SynthesizedSupervisor(g_p, attrs_two_state, spec_automaton=h_p), h_p),
+        (SynthesizedSupervisor(g_p, attrs_two_state, h_p), h_p),
         (ExplicitSupervisor(g.alphabet, {}), g),
     ]
     with monkeypatch.context() as m:
