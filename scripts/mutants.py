@@ -11,12 +11,10 @@ reports test failures and every named test is among them; a collection or
 import error, a timeout, or a snippet that no longer occurs exactly once
 fails the run instead.
 
-    python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py --only ID  # one mutant, by id
+    python3 scripts/mutants.py
 
 Exits 0 when the self-check passes and every mutant is killed.
 """
-import argparse
 import os
 import re
 import shutil
@@ -93,24 +91,18 @@ def pytest(copy, tests):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", help="run the one mutant with this id")
-    args = parser.parse_args()
-    mutants = [m for m in MUTANTS if args.only in (None, m["id"])]
-    if not mutants:
-        sys.exit(f"error: no mutant {args.only!r}")
     start, problems = time.perf_counter(), 0
     with tempfile.TemporaryDirectory(prefix="fdes-mutants-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".bench_*"))
-        tests = sorted({t for m in mutants for t in m["tests"]})
+        tests = sorted({t for m in MUTANTS for t in m["tests"]})
         code, failed, output = pytest(copy, tests)
         if code != 0:
             print(f"self-check FAILED: the unmutated copy exits {code}\n{output[-3000:]}")
             return 1
         print(f"self-check passed: {len(tests)} test(s) pass on the unmutated copy")
-        for m in mutants:
+        for m in MUTANTS:
             target = copy / m["file"]
             original = target.read_text(encoding="utf-8")
             if original.count(m["old"]) != 1:
@@ -129,7 +121,7 @@ def main():
                 verdict = "SURVIVED" if code in (0, 1) else f"BROKEN (pytest exit {code})"
                 print(f"{m['id']}: {verdict}; not failed: {', '.join(missed)}\n{output[-3000:]}")
                 problems += 1
-    print(f"{len(mutants) - problems} of {len(mutants)} mutant(s) killed in {time.perf_counter() - start:.1f} s")
+    print(f"{len(MUTANTS) - problems} of {len(MUTANTS)} mutant(s) killed in {time.perf_counter() - start:.1f} s")
     return 1 if problems else 0
 
 

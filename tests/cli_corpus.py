@@ -43,7 +43,7 @@ def _section(name, text):
 
 
 def run(entries):
-    """(entry, rendered output) for each manifest entry, in order."""
+    """(entry, exit code, rendered output) for each manifest entry, in order."""
     from fdes.cli import main
 
     here = os.getcwd()
