@@ -75,6 +75,110 @@ MUTANTS = [
         "new": "_require(True, where,",
         "tests": ["tests/test_cli.py::test_wrongly_typed_fields_exit_two", CORPUS],
     },
+    # the Fraction kernels and pointwise operators live in tests/oracles.py,
+    # so their mutants check the oracle tests.  A failing hypothesis test can
+    # end pytest -W error with an internal error (exit 3) instead of a failure,
+    # so every mutant names tests that draw their own seeded instances.
+    {
+        "id": "oracle-maxmin-apply-min",
+        "file": "tests/oracles.py",
+        "old": "return tuple(max(min(v[l], m[l][j]) for l in range(len(v))) for j in range(len(m[0])))",
+        "new": "return tuple(min(min(v[l], m[l][j]) for l in range(len(v))) for j in range(len(m[0])))",
+        "tests": ["tests/test_algebra.py::test_maxmin_apply_walkthrough",
+                  "tests/test_reachability.py::test_rank_enumeration_matches_fraction_bfs_random"],
+    },
+    {
+        "id": "oracle-fuzzy-or-keeps-smaller",
+        "file": "tests/oracles.py",
+        "old": "        if d > merged.get(s, ZERO):",
+        "new": "        if d < merged.get(s, ZERO):",
+        "tests": ["tests/test_language.py::test_closure_laws_random"],
+    },
+    {
+        "id": "successor-multiplies-fractions",
+        "file": "src/fdes/automaton.py",
+        "old": "max(map(mul, nums, col))",
+        "new": "max(map(lambda a, b: int(algebra.ONE * a) * b, nums, col))",
+        "tests": ["tests/test_scaled_table.py::test_maxprod_walks_do_no_fraction_products"],
+    },
+    {
+        "id": "recode-never-rescales",
+        "file": "src/fdes/supervisory.py",
+        "old": "        return _same if factor == 1 else factor.__mul__",
+        "new": "        return _same",
+        "tests": ["tests/test_degree_codes.py::test_automaton_spec_walks_on_mixed_denominators"],
+    },
+    {
+        "id": "identity-codec-not-decoding",
+        "file": "src/fdes/supervisory.py",
+        "old": """        if self.scale is None:
+            return other.decode
+""",
+        "new": """        if self.scale is None:
+            return _same
+""",
+        "tests": ["tests/test_degree_codes.py::test_supervisors_across_semantics_fall_back_to_fractions"],
+    },
+    {
+        "id": "encode-skips-set-check",
+        "file": "src/fdes/supervisory.py",
+        "old": """        code = self.codes.get(d.as_integer_ratio())
+        if code is None:
+            raise RangeError(f"degree {format_degree(d)} is outside the walk's degree set")
+        return code
+""",
+        "new": """        return self.codes.get(d.as_integer_ratio())
+""",
+        "tests": ["tests/test_degree_codes.py::test_codes_are_exact_and_a_degree_outside_the_set_raises"],
+    },
+    {
+        "id": "admissibility-classes-on-plant-state",
+        "file": "src/fdes/supervisory.py",
+        "old": "cls = itemgetter(0, 1) if isinstance(sup, SynthesizedSupervisor) else None",
+        "new": "cls = itemgetter(0) if isinstance(sup, SynthesizedSupervisor) else None",
+        "tests": ["tests/test_supervisory.py::test_bounded_admissibility_equals_its_replay_definition_random"],
+    },
+    {
+        "id": "nonblocking-walk-in-declaration-order",
+        "file": "src/fdes/supervisory.py",
+        "old": "_strings(depth, sorted(g.alphabet), start, step)",
+        "new": "_strings(depth, g.alphabet, start, step)",
+        "tests": ["tests/test_supervisory.py::test_walks_on_alphabets_declared_against_name_order_random"],
+    },
+    {
+        "id": "active-events-off-initial-state",
+        "file": "src/fdes/supervisory.py",
+        "old": "if table.top(table.step(q, sigma)) == ONE}",
+        "new": "if table.top(table.step(table.initial, sigma)) == ONE}",
+        "tests": ["tests/test_supervisory.py::test_crisp_active_events",
+                  "tests/test_supervisory.py::test_crisp_active_events_match_subset_propagation"],
+    },
+    {
+        "id": "dot-tree-edges-in-child-preorder",
+        "file": "src/fdes/reachability.py",
+        "old": 'out[parent].append(f"  n{parent} -> n{n} [{edge}];")',
+        "new": 'out[n].append(f"  n{parent} -> n{n} [{edge}];")',
+        "tests": ["tests/test_cli.py::test_tree_json_equals_json_dumps_of_the_nested_document", CORPUS],
+    },
+    {
+        "id": "json-tree-sibling-comma-dropped",
+        "file": "src/fdes/reachability.py",
+        "old": 'parts.append(close(last - 1, depth) + ",\\n")',
+        "new": 'parts.append(close(last - 1, depth) + "\\n")',
+        "tests": ["tests/test_cli.py::test_tree_json_and_dot",
+                  "tests/test_cli.py::test_tree_json_equals_json_dumps_of_the_nested_document", CORPUS],
+    },
+    {
+        "id": "synthesize-maxprod-precheck-deleted",
+        "file": "src/fdes/cli.py",
+        "old": """    if isinstance(spec_obj, FuzzyAutomaton) and g.semantics is spec_obj.semantics is Semantics.MAX_PRODUCT:
+        # a max-product pair has no finite enablement table to emit; fail before the bounded check
+        require_pairable(g, spec_obj)
+        raise SemanticsMismatch("no finite representative table for a max-product pair")
+""",
+        "new": "",
+        "tests": ["tests/test_cli.py::test_synthesize_rejects_max_product_specs_before_the_check"],
+    },
 ]
 
 

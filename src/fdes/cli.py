@@ -16,7 +16,7 @@ import click
 
 from . import model_io, reachability, supervisory
 from . import language as fl
-from .algebra import Semantics, format_degree, format_table
+from .algebra import Semantics, format_degree
 from .automaton import FuzzyAutomaton, parallel_compose, require_pairable, string_from_text, string_to_text
 from .errors import DepthExceeded, FdesError, ParseError, SemanticsMismatch
 from .supervisory import EventAttributes
@@ -78,38 +78,15 @@ def main():
 # reachability
 
 
-def _graph_json(graph) -> dict:
-    def state_json(label):
-        if label and isinstance(label[0], tuple):
-            return [[format_degree(d) for d in v] for v in label]
-        return [format_degree(d) for d in label]
-
-    return {
-        "schema_version": "1",
-        "kind": "reach-listing",
-        "nodes": [
-            {"index": i, "s": " ".join(graph.witness[i]), "state": state_json(label)}
-            for i, label in enumerate(graph.nodes)
-        ],
-        "edges": [{"from": i, "event": e, "to": j} for (i, e), j in graph.edges.items()],
-    }
-
-
 def _graph_out(graph, fmt, out, verbose, noun) -> None:
     """Emit a reachable-state or pair listing as JSON, DOT or a text table,
     with its count of nodes on stderr if verbose; noun is "state" or "pair"."""
     if verbose:
         click.echo(f"{len(graph.nodes)} distinct {noun}(s)", err=True)
     if fmt == "json":
-        emit_json(_graph_json(graph), out)
-    elif fmt == "dot":
-        emit(reachability.graph_to_dot(graph, title=f"reachable_{noun}s"), out)
+        emit_json(reachability.graph_to_doc(graph), out)
     else:
-        rows = [("s", "state")] + [
-            (string_to_text(graph.witness[i]), reachability.format_label(label))
-            for i, label in enumerate(graph.nodes)
-        ]
-        emit("\n".join(format_table(rows)) + "\n", out)
+        emit(reachability.graph_to_dot(graph, f"reachable_{noun}s") if fmt == "dot" else reachability.graph_to_text(graph), out)
 
 
 @main.command()
@@ -144,46 +121,6 @@ def pairs(model_g, model_h, depth, fmt, out, verbose):
     _graph_out(graph, fmt, out, verbose, "pair")
 
 
-def _tree_text(root) -> list:
-    lines, stack = [], [(root, 0)]
-    while stack:
-        node, indent = stack.pop()
-        via = f"{node.incoming_event} -> " if node.incoming_event else ""
-        mark = "  (leaf)" if node.is_leaf else ""
-        lines.append(f"{'  ' * indent}{via}{reachability.format_label(node.label)}{mark}")
-        stack.extend((child, indent + 1) for child in reversed(node.children))
-    return lines
-
-
-def _tree_json(root) -> str:
-    """The computing-tree document as `json.dumps(doc, indent=2)` prints it,
-    where each node is {"label", "leaf", "children": {event: node}}.  Built
-    from an explicit stack of text pieces and (node, depth) entries, so a
-    tree deeper than the interpreter's recursion limit renders too."""
-    parts = ['{\n  "schema_version": "1",\n  "kind": "computing-tree",\n  "root": ']
-    stack = ["\n}\n", (root, 1)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        node, depth = item
-        pad, inner = "  " * depth, "  " * (depth + 1)
-        parts.append(
-            f'{{\n{inner}"label": {json.dumps(reachability.format_label(node.label))},'
-            f'\n{inner}"leaf": {json.dumps(node.is_leaf)},\n{inner}"children": '
-        )
-        if not node.children:
-            parts.append(f"{{}}\n{pad}}}")
-            continue
-        parts.append("{\n")
-        stack.append(f"\n{inner}}}\n{pad}}}")
-        for k, child in reversed(list(enumerate(node.children))):
-            stack.append((child, depth + 2))
-            stack.append((",\n" if k else "") + f"{inner}  {json.dumps(child.incoming_event)}: ")
-    return "".join(parts)
-
-
 @main.command()
 @click.argument("models", nargs=-1, required=True, type=click.Path())
 @depth_option
@@ -202,12 +139,8 @@ def tree(models, depth, fmt, out):
         root = reachability.build_pair_computing_tree(g, h, depth)
     else:
         raise click.UsageError("tree takes one or two model files")
-    if fmt == "dot":
-        emit(reachability.tree_to_dot(root), out)
-    elif fmt == "json":
-        emit(_tree_json(root), out)
-    else:
-        emit("\n".join(_tree_text(root)) + "\n", out)
+    writer = {"text": reachability.tree_to_text, "json": reachability.tree_to_json, "dot": reachability.tree_to_dot}
+    emit(writer[fmt](root), out)
 
 
 # ---------------------------------------------------------------------------

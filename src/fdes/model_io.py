@@ -80,11 +80,18 @@ def _require(ok: bool, where: str, what: str) -> None:
         raise ParseError(f"{where}: {what}")
 
 
+def _event_names(names, where: str) -> tuple:
+    """Event names that read back as themselves from the space-joined strings documents and listings write."""
+    for e in names:
+        _require(string_from_text(e) == (e,), where, f"event {e!r} must be non-empty, hold no whitespace and not be 'eps' or 'ε'")
+    return tuple(names)
+
+
 def _alphabet(doc: dict, where: str) -> tuple:
     alphabet = _field(doc, "alphabet", where)
     _require(isinstance(alphabet, list) and all(isinstance(e, str) for e in alphabet), where,
              "'alphabet' must be a list of event names")
-    return tuple(alphabet)
+    return _event_names(alphabet, where)
 
 
 def _by_string(entries: dict, name: str, where: str) -> dict:
@@ -127,6 +134,7 @@ def parse_model_doc(doc: dict, where: str = "model") -> Tuple[FuzzyAutomaton, Op
     events_doc = _field(doc, "events", where)
     if not isinstance(events_doc, dict):
         raise ParseError(f"{where}: 'events' must be an object of name → grid")
+    _event_names(events_doc, where)
     events: Dict[str, list] = {}
     for name, grid in events_doc.items():
         _require(isinstance(grid, list) and all(isinstance(row, list) for row in grid), where,

@@ -24,11 +24,12 @@ DepthExceeded.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import automaton as fa
-from .algebra import Semantics, format_vector
+from .algebra import Semantics, format_degree, format_table, format_vector
 from .errors import DepthExceeded, ParseError
 
 DEFAULT_MAX_PRODUCT_DEPTH = 32
@@ -69,11 +70,21 @@ class ComputingTreeNode:
 
     def walk(self):
         """Yield nodes in depth-first order."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        return (node for _, node in _preorder(self))
+
+
+def _preorder(root: ComputingTreeNode):
+    """(depth, node) for each node under root, parents before children and
+    children in event order: the one traversal of a built tree."""
+    stack = [iter((root,))]  # one iterator over siblings per level of the root path
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        yield len(stack) - 1, node
+        if node.children:
+            stack.append(iter(node.children))
 
 
 def _build_tree(root_label, events: Sequence[str], step_fn, decode: Callable, max_depth: Optional[int]):
@@ -104,7 +115,7 @@ def _build_tree(root_label, events: Sequence[str], step_fn, decode: Callable, ma
     if overflow:
         raise DepthExceeded(max_depth, [decode(label) for label in overflow])
     decoded: Dict[tuple, tuple] = {}
-    for node in root.walk():
+    for _, node in _preorder(root):
         label = decoded.get(node.label)
         if label is None:
             label = decoded[node.label] = decode(node.label)
@@ -197,7 +208,47 @@ def _pair_table(g: fa.FuzzyAutomaton, h: fa.FuzzyAutomaton) -> Tuple[tuple, Tupl
 
 
 # ---------------------------------------------------------------------------
-# DOT emission
+# writers: text, JSON and DOT for trees and listings
+
+
+def _rendered(root: ComputingTreeNode, render: Callable[[tuple], str]):
+    """(depth, node, render(node.label)) in pre-order, each distinct label
+    rendered once (a built tree shares one decoded label object per state)."""
+    texts: Dict[int, str] = {}
+    for depth, node in _preorder(root):
+        text = texts.get(id(node.label))
+        if text is None:
+            text = texts[id(node.label)] = render(node.label)
+        yield depth, node, text
+
+
+def tree_to_text(root: ComputingTreeNode) -> str:
+    """One line per node, indented by depth: its event, label and leaf mark."""
+    lines = [f"{'  ' * depth}{node.incoming_event + ' -> ' if node.incoming_event else ''}{label}{'  (leaf)' if node.is_leaf else ''}"
+             for depth, node, label in _rendered(root, format_label)]
+    return "\n".join(lines) + "\n"
+
+
+def tree_to_json(root: ComputingTreeNode) -> str:
+    """The computing-tree document as `json.dumps(doc, indent=2)` prints it,
+    where each node is {"label", "leaf", "children": {event: node}}.  A node
+    with children is left open until the walk leaves its subtree, so a tree
+    deeper than the interpreter's recursion limit renders too."""
+
+    def close(deepest: int, depth: int) -> str:  # the open nodes at depths deepest down to depth
+        return "".join(f"\n{'  ' * (2 * d + 2)}}}\n{'  ' * (2 * d + 1)}}}" for d in range(deepest, depth - 1, -1))
+
+    parts, last = ['{\n  "schema_version": "1",\n  "kind": "computing-tree",\n  "root": '], 0
+    for depth, node, label in _rendered(root, lambda lab: json.dumps(format_label(lab))):
+        if depth:
+            if depth <= last:  # a later sibling: the subtrees since its elder one are done
+                parts.append(close(last - 1, depth) + ",\n")
+            parts.append(f"{'  ' * (2 * depth + 1)}{json.dumps(node.incoming_event)}: ")
+        pad, inner = "  " * (2 * depth + 1), "  " * (2 * depth + 2)
+        parts.append(f'{{\n{inner}"label": {label},\n{inner}"leaf": {json.dumps(node.is_leaf)},\n{inner}"children": ')
+        parts.append("{\n" if node.children else f"{{}}\n{pad}}}")
+        last = depth
+    return "".join(parts) + close(last - 1, 0) + "\n}\n"
 
 
 def _dot_label(text: str) -> str:
@@ -206,35 +257,41 @@ def _dot_label(text: str) -> str:
 
 
 def tree_to_dot(root: ComputingTreeNode, title: str = "computing_tree") -> str:
-    """The tree as DOT.  Each distinct label is formatted once: a built
-    tree's nodes share one decoded label per state, so the memo is keyed by
-    the label object, which the tree keeps alive while it renders."""
+    """The tree as DOT: its nodes in pre-order, then its edges by parent in that order."""
     lines = [f"digraph {title} {{", "  node [shape=box];"]
-    ids: Dict[int, str] = {}
-    labels: Dict[int, str] = {}
-    for n, node in enumerate(root.walk()):
-        ids[id(node)] = f"n{n}"
-        attrs = labels.get(id(node.label))
-        if attrs is None:
-            attrs = labels[id(node.label)] = _dot_label(format_label(node.label))
-        if node.is_leaf:
-            attrs += ", peripheries=2"
-        lines.append(f"  n{n} [{attrs}];")
+    out: List[List[str]] = []  # out[n]: the edge lines from node n
+    path: List[int] = []  # the numbers of the nodes on the root path
     edges: Dict[str, str] = {}
-    for node in root.walk():
-        for child in node.children:
-            e = child.incoming_event
+    for n, (depth, node, attrs) in enumerate(_rendered(root, lambda lab: _dot_label(format_label(lab)))):
+        lines.append(f"  n{n} [{attrs}, peripheries=2];" if node.is_leaf else f"  n{n} [{attrs}];")
+        out.append([])
+        if depth:
+            e, parent = node.incoming_event, path[depth - 1]
             edge = edges.get(e) or edges.setdefault(e, _dot_label(e))
-            lines.append(f"  {ids[id(node)]} -> {ids[id(child)]} [{edge}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            out[parent].append(f"  n{parent} -> n{n} [{edge}];")
+        path[depth:] = [n]
+    return "\n".join(lines + [edge for node_edges in out for edge in node_edges]) + "\n}\n"
+
+
+def _degrees(label) -> list:
+    """A label's degrees formatted, nested as a vector's list or a pair's two."""
+    return [_degrees(x) if isinstance(x, tuple) else format_degree(x) for x in label]
+
+
+def graph_to_text(graph: ReachableStateGraph) -> str:
+    """The listing as a table of each node's witness string and label."""
+    rows = [(fa.string_to_text(graph.witness[i]), format_label(label)) for i, label in enumerate(graph.nodes)]
+    return "\n".join(format_table([("s", "state"), *rows])) + "\n"
+
+
+def graph_to_doc(graph: ReachableStateGraph) -> dict:
+    """The reach-listing document of a state or pair listing."""
+    nodes = [{"index": i, "s": " ".join(graph.witness[i]), "state": _degrees(label)} for i, label in enumerate(graph.nodes)]
+    edges = [{"from": i, "event": e, "to": j} for (i, e), j in graph.edges.items()]
+    return {"schema_version": "1", "kind": "reach-listing", "nodes": nodes, "edges": edges}
 
 
 def graph_to_dot(graph: ReachableStateGraph, title: str = "reachable_states") -> str:
-    lines = [f"digraph {title} {{", "  node [shape=box];"]
-    for i, label in enumerate(graph.nodes):
-        lines.append(f"  s{i} [{_dot_label(format_label(label))}];")
-    for (i, e), j in graph.edges.items():
-        lines.append(f"  s{i} -> s{j} [{_dot_label(e)}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f"  s{i} [{_dot_label(format_label(label))}];" for i, label in enumerate(graph.nodes)]
+    edges = [f"  s{i} -> s{j} [{_dot_label(e)}];" for (i, e), j in graph.edges.items()]
+    return "\n".join([f"digraph {title} {{", "  node [shape=box];", *nodes, *edges, "}"]) + "\n"

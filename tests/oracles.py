@@ -4,9 +4,9 @@ Everything here is deliberately naive: set-based crisp controllability,
 exhaustive candidate search over a finite value lattice, plain nested loops.
 The point is to have independently-written baselines to compare the library
 against, so nothing below imports from fdes beyond the data containers,
-the errors, the alphabet check `require_same_alphabet`, and the
-controllability witness finder `_violation`, which the iterated closures
-rescan with after every fix.  Fuzzy states are stepped by
+the errors, the alphabet check `require_same_alphabet`, the label text
+`format_label`, and the controllability witness finder `_violation`, which
+the iterated closures rescan with after every fix.  Fuzzy states are stepped by
 the plain nested Fraction loops below (`fraction_step`); the library steps
 them on its integer `StepTable` only, and is checked against these.
 """
@@ -26,6 +26,7 @@ from fdes.language import (
     prefix_closure,
     supremal_controllable_sublanguage,
 )
+from fdes.reachability import format_label
 from fdes.supervisory import EventAttributes, ExplicitSupervisor
 
 HALF_STEPS = tuple(Fraction(n, 10) for n in range(11))
@@ -431,6 +432,45 @@ def tree_oracle(root, events, step, max_depth=None):
 
     expand(root, (root,), 0)
     return nodes, overflow
+
+
+def _tree_walk(root):
+    """A built tree's nodes in depth-first order, children in event order."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def tree_text_reference(root):
+    """A tree's text, one indented line per node, from a stack of (node, indent)."""
+    lines, stack = [], [(root, 0)]
+    while stack:
+        node, indent = stack.pop()
+        via = f"{node.incoming_event} -> " if node.incoming_event else ""
+        mark = "  (leaf)" if node.is_leaf else ""
+        lines.append(f"{'  ' * indent}{via}{format_label(node.label)}{mark}")
+        stack.extend((child, indent + 1) for child in reversed(node.children))
+    return "\n".join(lines) + "\n"
+
+
+def tree_dot_reference(root, title="computing_tree"):
+    """A tree's DOT from walks of its own: every node in depth-first order, then
+    every node's edges to its children, each label quoted afresh."""
+
+    def attr(text):
+        return 'label="' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"digraph {title} {{", "  node [shape=box];"]
+    ids = {id(node): f"n{n}" for n, node in enumerate(_tree_walk(root))}
+    for node in _tree_walk(root):
+        lines.append(f"  {ids[id(node)]} [{attr(format_label(node.label))}{', peripheries=2' if node.is_leaf else ''}];")
+    for node in _tree_walk(root):
+        for child in node.children:
+            lines.append(f"  {ids[id(node)]} -> {ids[id(child)]} [{attr(child.incoming_event)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # --- supervised languages by string replay ------------------------------------

@@ -4,6 +4,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -11,8 +12,9 @@ from click.testing import CliRunner
 
 import oracles
 from conftest import GOLDEN, MODELS, ROOT
-from fdes import cli, reachability, supervisory
+from fdes import reachability, supervisory
 from fdes.algebra import ONE, ZERO, Semantics
+from fdes.automaton import FuzzyAutomaton
 from fdes.cli import main
 
 FDES = shutil.which("fdes")
@@ -480,10 +482,20 @@ ONE_STATE = {"kind": "model", "semantics": "max-min", "states": ["q"], "initial"
                       "attributes": {"kind": "attributes", "uncontrollability": {"a": "0"}},
                       "spec_automaton": ONE_STATE, "check_passed": value}, "'check_passed'")
       for value in ("x", 1)),
+    # an event name must read back as itself from a space-joined string
+    ("model", {**ONE_STATE, "events": {"a b": [["0.5"]]}}, "event 'a b' must be non-empty"),
+    ("model", {**ONE_STATE, "events": {"a": [["0.5"]], "": [["1"]]}}, "event '' must be non-empty"),
+    ("model", {**ONE_STATE, "events": {"a\tb": [["0.5"]]}}, "event 'a\\tb' must be non-empty"),
+    ("language", {"kind": "language", "alphabet": ["eps", "b"], "degrees": {"eps": "1", "eps b": "0.4"}},
+     "event 'eps' must be non-empty"),
+    ("language", {"kind": "language", "alphabet": [" a"], "degrees": {"": "1"}}, "event ' a' must be non-empty"),
+    ("supervisor", {"kind": "supervisor", "mode": "explicit", "alphabet": ["a", "ε"], "table": {}},
+     "event 'ε' must be non-empty"),
 ])
 def test_wrongly_typed_fields_exit_two(tmp_path, kind, doc, field):
-    """A field of the wrong type is a parse error that names the document
-    and the field, not a traceback."""
+    """A field of the wrong type, or an event name that a space-joined
+    string cannot read back, is a parse error that names the document and
+    the field or event, not a traceback."""
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(ONE_STATE))
     bad.write_text(json.dumps(doc))
@@ -601,19 +613,29 @@ def tree_doc_by_recursion(node):
 
 
 def test_tree_json_equals_json_dumps_of_the_nested_document():
-    """The iterative JSON renderer prints what json.dumps(indent=2) prints for
-    the nested document, on state and pair trees of both semantics."""
+    """The tree writers print what their references print: JSON what
+    json.dumps(indent=2) prints for the nested document, text and DOT what
+    `oracles.tree_text_reference` and `tree_dot_reference` print.  On state
+    and pair trees of both semantics, a one-node tree, and events named
+    with " and \\."""
     rng = random.Random(75)
-    shapes = set()
+    roots = [reachability.build_computing_tree(FuzzyAutomaton(("q",), {}, (ONE,)))]
     # max-product trees close only on crisp degrees
     for semantics, palette in ((Semantics.MAX_MIN, oracles.HALF_STEPS), (Semantics.MAX_PRODUCT, (ZERO, ONE))):
-        for _ in range(25):
+        for k in range(25):
             g, h = oracles.dominated_pair(rng, max_states=2, palette=palette, semantics=semantics)
-            for root in (reachability.build_computing_tree(g), reachability.build_pair_computing_tree(g, h)):
-                doc = {"schema_version": "1", "kind": "computing-tree", "root": tree_doc_by_recursion(root)}
-                assert cli._tree_json(root) == json.dumps(doc, indent=2) + "\n"
-                shapes.add((len(root.children), root.is_leaf))
-    assert len(shapes) >= 3
+            if k % 2:
+                g, h = (replace(m, events={e.replace("e", 'e"\\'): x for e, x in m.events.items()}) for m in (g, h))
+            roots += [reachability.build_computing_tree(g), reachability.build_pair_computing_tree(g, h)]
+    shapes = set()
+    for root in roots:
+        doc = {"schema_version": "1", "kind": "computing-tree", "root": tree_doc_by_recursion(root)}
+        assert reachability.tree_to_json(root) == json.dumps(doc, indent=2) + "\n"
+        assert reachability.tree_to_text(root) == oracles.tree_text_reference(root)
+        assert reachability.tree_to_dot(root) == oracles.tree_dot_reference(root)
+        shapes.add((len(root.children), root.is_leaf))
+    assert len(shapes) >= 3 and (0, False) in shapes
+    assert any('\\"' in reachability.tree_to_dot(root) for root in roots)
 
 
 def test_deeply_nested_document_exits_two(tmp_path):
@@ -629,11 +651,12 @@ def test_synthesize_rejects_max_product_specs_before_the_check(monkeypatch):
     `synthesize` fails before running the bounded check, and says nothing
     about the depth of a check it did not run."""
 
-    def checked(*args, **kwargs):
-        raise AssertionError("ran the bounded check")
+    def synthesized(*args, **kwargs):
+        raise AssertionError("ran synthesis and its bounded check")
 
-    monkeypatch.setattr(supervisory, "check_n_controllability", checked)
-    result = invoke("synthesize", path("maxprod_open.json"), path("maxprod_open.json"))
+    with monkeypatch.context() as patched:
+        patched.setattr(supervisory, "synthesize_supervisor", synthesized)
+        result = invoke("synthesize", path("maxprod_open.json"), path("maxprod_open.json"))
     assert_clean_exit(result, 2)
     assert result.output == "error: no finite representative table for a max-product pair\n"
     for plant, spec, attrs in (
